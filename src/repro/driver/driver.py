@@ -74,7 +74,7 @@ def apply_matrix_to_rank(rank: Rank, matrix: TransferMatrix,
 
     Returns ``(buffers, duration)`` — buffers is None for writes.
     ``into`` optionally supplies per-entry destination buffers for MRAM
-    reads (pooled zero-copy path); ignored for writes and WRAM symbols.
+    reads (planned zero-copy path); ignored for writes and WRAM symbols.
     """
     if matrix.target is Target.MRAM:
         if matrix.kind is XferKind.TO_DPU:

@@ -145,9 +145,9 @@ class MemoryRegion:
     def read_into(self, offset: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (1-D uint8) from the region — no allocation.
 
-        The scatter-gather data plane reads through here with pooled
-        buffers, so bulk transfers stop paying one fresh allocation (and
-        one zero-fill) per hop.
+        Planned reads land here straight in pinned guest pages, so bulk
+        transfers stop paying one fresh allocation (and one zero-fill)
+        per hop.
         """
         self._check(offset, out.size)
         self._fill_from_segments(offset, out)

@@ -349,8 +349,9 @@ class Rank:
 
         ``into`` (optional) supplies one pre-sized uint8 buffer per spec;
         the reads then go through :meth:`MemoryRegion.read_into` with no
-        allocation, which is how the backend runs pooled (zero-copy)
-        reads.  The returned list is ``into`` itself in that case.
+        allocation, which is how the backend deposits planned reads
+        straight into pinned guest pages.  The returned list is ``into``
+        itself in that case.
         """
         self._guard("read")
         if into is not None and len(into) != len(specs):

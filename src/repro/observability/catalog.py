@@ -18,7 +18,7 @@ whole point of this subsystem is making the paper's breakdowns (Figs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import ObservabilityError
 from repro.observability.metrics import MetricFamily, MetricsRegistry
@@ -104,18 +104,6 @@ _SPECS: Tuple[MetricSpec, ...] = (
         "repro_backend_batch_replay_records_total", "counter",
         "Buffered small writes replayed as individual rank operations",
         ("vm", "device"), paper="§4.1 (batching merges messages, not ops)"),
-    MetricSpec(
-        "repro_xlb_hits_total", "counter",
-        "GPA->HVA page runs served by the backend translation cache",
-        ("vm", "device"), paper="§4.2 (translation threads; wall-clock XLB)"),
-    MetricSpec(
-        "repro_xlb_misses_total", "counter",
-        "GPA->HVA page runs that required full bounds-checked translation",
-        ("vm", "device"), paper="§4.2 (translation threads; wall-clock XLB)"),
-    MetricSpec(
-        "repro_bufpool_reuse_total", "counter",
-        "Data-plane buffer acquisitions served from the reuse pool",
-        ("vm", "device"), paper="§5.4.1 (host-side copy plumbing cost)"),
     MetricSpec(
         "repro_xfer_cache_hits_total", "counter",
         "Write extents suppressed by the content-aware transfer cache",

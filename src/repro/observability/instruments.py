@@ -212,12 +212,6 @@ class BackendInstruments:
             registry, "repro_backend_interleave_seconds").labels(**ids)
         self._replays = instrument(
             registry, "repro_backend_batch_replay_records_total").labels(**ids)
-        self._xlb_hits = instrument(
-            registry, "repro_xlb_hits_total").labels(**ids)
-        self._xlb_misses = instrument(
-            registry, "repro_xlb_misses_total").labels(**ids)
-        self._bufpool_reuse = instrument(
-            registry, "repro_bufpool_reuse_total").labels(**ids)
         self._ids = ids
 
     def request(self, kind: str, rank: str, duration: float) -> None:
@@ -234,18 +228,6 @@ class BackendInstruments:
 
     def batch_replay(self, records: int) -> None:
         self._replays.inc(records)
-
-    def xlb(self, hits: int, misses: int) -> None:
-        """Translation-cache outcomes for one request's page runs."""
-        if hits:
-            self._xlb_hits.inc(hits)
-        if misses:
-            self._xlb_misses.inc(misses)
-
-    def bufpool_reuse(self, count: int) -> None:
-        """Pool-served buffer acquisitions during one request."""
-        if count:
-            self._bufpool_reuse.inc(count)
 
 
 class ManagerInstruments:

@@ -16,7 +16,6 @@ config — the Fig. 11 ablation.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -25,7 +24,6 @@ import numpy as np
 from repro.config import BACKEND_WORKER_THREADS, TRANSLATION_THREADS
 from repro.errors import DeviceNotLinkedError, SerializationError
 from repro.driver.driver import PerfModeMapping, UpmemDriver
-from repro.hardware.bufpool import BufferPool
 from repro.hardware.rank import WriteSpec
 from repro.hardware.clock import SimClock
 from repro.hardware.timing import CostModel
@@ -34,7 +32,7 @@ from repro.observability.instruments import BackendInstruments
 from repro.observability.spans import SpanRecorder
 from repro.sdk.kernel import DpuProgram
 from repro.sdk.transfer import DpuEntry, Target, TransferMatrix, XferKind
-from repro.virt.guest_memory import HVA_BASE, GuestMemory
+from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
     RequestHeader,
     RequestKind,
@@ -75,55 +73,6 @@ class BackendResult:
     duration: float
     steps: Dict[str, float] = field(default_factory=dict)
     payload: Optional[object] = None
-
-
-class TranslationCache:
-    """TLB-style cache over GPA→HVA page-run translation (the XLB).
-
-    The guest driver recycles its DMA arena, so the *same* page runs come
-    back request after request (§4.2's translation threads re-resolve
-    them every time).  A run is keyed by ``(first GPA, last GPA, page
-    count)`` — the identity of an arithmetic page sequence produced by
-    the frontend serializer — and a hit skips the vectorized bounds
-    validation that a miss performs via
-    :meth:`GuestMemory.translate_pages`.  LRU-bounded; purely a
-    wall-clock optimization, the GPA+offset arithmetic is unchanged.
-    """
-
-    def __init__(self, memory: GuestMemory, capacity: int = 512) -> None:
-        self.memory = memory
-        self.capacity = capacity
-        self._runs: "OrderedDict[Tuple[int, int, int], bool]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        #: Bumped on every :meth:`invalidate` (unlink/relink).  Compiled
-        #: transfer plans snapshot this after resolving their page runs;
-        #: a matching generation lets a replay skip per-entry translation
-        #: (the runs were bounds-validated when first resolved and the
-        #: GPAs are frozen in the plan's reservations).
-        self.generation = 0
-
-    def translate(self, page_gpas: np.ndarray) -> np.ndarray:
-        """GPA→HVA for one entry's page buffer; validates on miss only."""
-        arr = np.asarray(page_gpas, dtype=np.uint64)
-        if arr.size == 0:
-            return arr + np.uint64(HVA_BASE)
-        key = (int(arr[0]), int(arr[-1]), arr.size)
-        runs = self._runs
-        if key in runs:
-            runs.move_to_end(key)
-            self.hits += 1
-            return arr + np.uint64(HVA_BASE)
-        self.misses += 1
-        hvas = self.memory.translate_pages(arr)  # bounds-checked
-        runs[key] = True
-        if len(runs) > self.capacity:
-            runs.popitem(last=False)
-        return hvas
-
-    def invalidate(self) -> None:
-        self._runs.clear()
-        self.generation += 1
 
 
 class VUpmemBackend:
@@ -170,11 +119,11 @@ class VUpmemBackend:
         #: labeled by the currently bound rank).
         self.obs = BackendInstruments(metrics or MetricsRegistry(),
                                       device_id, spans=self.spans)
-        #: TLB-style GPA→HVA run cache (hits skip bounds re-validation).
-        self.xlb = TranslationCache(guest_memory)
-        #: Scratch-buffer pool backing gathers and pooled rank reads;
-        #: per-backend so chaos drills can assert loan stability.
-        self.pool = BufferPool()
+        #: Bumped on every :meth:`unlink` (release/migration/failover).
+        #: Compiled transfer plans snapshot it once their page runs are
+        #: bounds-checked; a matching generation lets a replay skip the
+        #: per-entry walk (the GPAs are frozen in the plan's reservations).
+        self.translation_generation = 0
         #: (``self.spans`` is assigned before ``self.obs`` above: shares
         #: the machine recorder when built by
         #: :class:`~repro.virt.firecracker.Firecracker`, making each
@@ -198,10 +147,9 @@ class VUpmemBackend:
         if self.mapping is not None:
             self.mapping.unmap()
             self.mapping = None
-            # The rank binding changed (release/migration/failover):
-            # cached translation state must be re-resolved, and plans
-            # holding this generation stop short-circuiting the XLB.
-            self.xlb.invalidate()
+            # The rank binding changed: plans validated at the old
+            # generation must bounds-check their page runs again.
+            self.translation_generation += 1
 
     def _require_mapping(self) -> PerfModeMapping:
         if self.mapping is None:
@@ -309,143 +257,103 @@ class VUpmemBackend:
                     f"{header.symbol!r}, offset {header.offset}, size "
                     f"{skip.size}) is not resident on the backend")
 
-        pool = self.pool
-        reuse0 = pool.reuse_count
+        if (plan is None
+                or plan.translation_generation != self.translation_generation):
+            # Bounds-check every entry's page run before any byte moves.
+            # A plan validated at the current generation replays frozen
+            # reservations, so its replays skip the walk.
+            for entry in entries:
+                self.memory.translate_pages(entry.page_gpas)
+            if plan is not None:
+                plan.translation_generation = self.translation_generation
 
         # Non-batched writes rebuild the matrix up front so the payload
         # bytes are available for broadcast detection.  A plan already
         # holds a matrix whose payloads alias the (just-refreshed) guest
         # views, so the gather disappears entirely.
         matrix = None
-        loaned: List[np.ndarray] = []
         broadcast = False
         if kind is RequestKind.WRITE_RANK and batch_records is None:
-            if plan is not None:
-                matrix = plan.matrix
-            else:
-                matrix, loaned = self._rebuild_matrix(
-                    header, entries, XferKind.TO_DPU)
+            matrix = (plan.matrix if plan is not None else
+                      self._rebuild_matrix(header, entries, XferKind.TO_DPU))
             broadcast = self.cache_enabled and _is_broadcast(matrix)
 
-        try:
-            total_pages = sum(e.page_gpas.size for e in entries)
-            # Broadcast-identical payloads (the all-DPUs-same-buffer PrIM
-            # pattern) are deserialized and translated once, then fanned
-            # out — only the modeled time changes, every page is still
-            # validated and written.
-            modeled_pages = (entries[0].page_gpas.size if broadcast
-                             else total_pages)
-            deser_time = (self.cost.backend_request_fixed
-                          + modeled_pages * self.cost.deserialize_per_page
-                          + len(skips) * self.cost.cache_skip_lookup_cost)
-            # Threaded GPA->HVA translation saturates at 8 threads — the
-            # paper "empirically validate[d] that using more than 8 threads
-            # does not provide additional benefits" (Section 4.2), which
-            # matches the 8-DPUs-per-chip memory parallelism.
-            effective_threads = max(1, min(self.translation_threads, 8))
-            translate_time = (self.cost.translate_fixed
-                              + modeled_pages * self.cost.translate_per_page
-                              / effective_threads)
-            xlb = self.xlb
-            if plan is not None and plan.xlb_generation == xlb.generation:
-                # Replay: the plan's page runs were resolved (and bounds-
-                # validated) at this XLB generation, and its GPAs are
-                # frozen reservations — count the hits without walking.
-                xlb.hits += len(entries)
-                self.obs.xlb(len(entries), 0)
+        total_pages = sum(e.page_gpas.size for e in entries)
+        # Broadcast-identical payloads (the all-DPUs-same-buffer PrIM
+        # pattern) are deserialized and translated once, then fanned
+        # out — only the modeled time changes, every page is still
+        # validated and written.
+        modeled_pages = (entries[0].page_gpas.size if broadcast
+                         else total_pages)
+        deser_time = (self.cost.backend_request_fixed
+                      + modeled_pages * self.cost.deserialize_per_page
+                      + len(skips) * self.cost.cache_skip_lookup_cost)
+        # Threaded GPA->HVA translation saturates at 8 threads — the
+        # paper "empirically validate[d] that using more than 8 threads
+        # does not provide additional benefits" (Section 4.2), which
+        # matches the 8-DPUs-per-chip memory parallelism.
+        effective_threads = max(1, min(self.translation_threads, 8))
+        translate_time = (self.cost.translate_fixed
+                          + modeled_pages * self.cost.translate_per_page
+                          / effective_threads)
+        self.obs.translation(total_pages, translate_time)
+        self.spans.event("backend.deserialize", "backend", deser_time,
+                         pages=total_pages, broadcast=broadcast)
+        self.spans.event("backend.translate", "backend", translate_time,
+                         pages=total_pages, threads=effective_threads)
+
+        dispatch_time = self.cost.backend_dispatch
+        self.spans.event("backend.dispatch", "backend", dispatch_time)
+
+        payload = None
+        if kind is RequestKind.WRITE_RANK:
+            if batch_records is not None:
+                tdata = self._replay_batch(mapping, header, batch_records)
             else:
-                hits0, misses0 = xlb.hits, xlb.misses
-                for entry in entries:
-                    xlb.translate(entry.page_gpas)  # bounds-checked on miss
-                self.obs.xlb(xlb.hits - hits0, xlb.misses - misses0)
-                if plan is not None:
-                    plan.xlb_generation = xlb.generation
-            self.obs.translation(total_pages, translate_time)
-            self.spans.event("backend.deserialize", "backend", deser_time,
-                             pages=total_pages, broadcast=broadcast)
-            self.spans.event("backend.translate", "backend", translate_time,
-                             pages=total_pages, threads=effective_threads)
-
-            dispatch_time = self.cost.backend_dispatch
-            self.spans.event("backend.dispatch", "backend", dispatch_time)
-
-            if kind is RequestKind.WRITE_RANK:
-                if batch_records is not None:
-                    tdata = self._replay_batch(mapping, header, batch_records)
+                pinned = (self._pinned_write_for(plan, mapping)
+                          if plan is not None else None)
+                if pinned is not None:
+                    tdata = mapping.write_pinned(
+                        pinned, rust_interleave=self.rust_data_path)
                 else:
-                    pinned = (self._pinned_write_for(plan, mapping)
-                              if plan is not None else None)
-                    if pinned is not None:
-                        tdata = mapping.write_pinned(
-                            pinned, rust_interleave=self.rust_data_path)
-                    else:
-                        tdata = mapping.write(
-                            matrix, rust_interleave=self.rust_data_path)
-                    if self.cache_enabled:
-                        for entry in entries:
-                            if entry.digest:
-                                self.resident.insert(
-                                    entry.dpu_index, header.symbol,
-                                    header.offset, entry.size, entry.digest)
-                self.obs.bufpool_reuse(pool.reuse_count - reuse0)
-                self.obs.interleave(tdata)
-                tdata += self._bus_share(tdata)
-                steps = {"Deser": deser_time + translate_time,
-                         "T-data": tdata}
-                duration = deser_time + translate_time + dispatch_time + tdata
-                return BackendResult(duration=duration, steps=steps)
-
-            if kind is RequestKind.READ_RANK:
-                if plan is not None:
-                    # MRAM reads deposit straight into the pinned guest
-                    # destinations; WRAM symbol reads return fresh
-                    # buffers that one slice copy lands in place.
-                    if plan.direct_read:
-                        buffers, tdata = mapping.read(
-                            plan.matrix, rust_interleave=self.rust_data_path,
-                            into=plan.read_views)
-                    else:
-                        buffers, tdata = mapping.read(
-                            plan.matrix, rust_interleave=self.rust_data_path)
-                        for view, buf in zip(plan.read_views, buffers):
-                            view[...] = buf
-                    self.obs.bufpool_reuse(pool.reuse_count - reuse0)
-                    self.obs.interleave(tdata)
-                    tdata += self._bus_share(tdata)
-                    steps = {"Deser": deser_time + translate_time,
-                             "T-data": tdata}
-                    duration = (deser_time + translate_time + dispatch_time
-                                + tdata)
-                    return BackendResult(duration=duration, steps=steps,
-                                         payload=len(buffers))
-                matrix, _ = self._rebuild_matrix(header, entries,
-                                                 XferKind.FROM_DPU)
-                loaned_reads = [pool.acquire(e.size) for e in entries]
-                try:
-                    buffers, tdata = mapping.read(
-                        matrix, rust_interleave=self.rust_data_path,
-                        into=loaned_reads)
-                    for entry, buf in zip(entries, buffers):
-                        scatter_entry_data(entry, buf, self.memory)
-                finally:
-                    for buf in loaned_reads:
-                        pool.release(buf)
-                self.obs.bufpool_reuse(pool.reuse_count - reuse0)
-                self.obs.interleave(tdata)
-                tdata += self._bus_share(tdata)
-                steps = {"Deser": deser_time + translate_time,
-                         "T-data": tdata}
-                duration = deser_time + translate_time + dispatch_time + tdata
-                return BackendResult(duration=duration, steps=steps,
-                                     payload=len(buffers))
-
+                    tdata = mapping.write(
+                        matrix, rust_interleave=self.rust_data_path)
+                if self.cache_enabled:
+                    for entry in entries:
+                        if entry.digest:
+                            self.resident.insert(
+                                entry.dpu_index, header.symbol,
+                                header.offset, entry.size, entry.digest)
+        elif kind is RequestKind.READ_RANK:
+            if plan is None:
+                buffers, tdata = mapping.read(
+                    self._rebuild_matrix(header, entries, XferKind.FROM_DPU),
+                    rust_interleave=self.rust_data_path)
+                for entry, buf in zip(entries, buffers):
+                    scatter_entry_data(entry, buf, self.memory)
+            elif plan.direct_read:
+                # MRAM reads deposit straight into the pinned guest
+                # destinations.
+                buffers, tdata = mapping.read(
+                    plan.matrix, rust_interleave=self.rust_data_path,
+                    into=plan.read_views)
+            else:
+                # WRAM symbol reads return fresh buffers that one slice
+                # copy lands in place.
+                buffers, tdata = mapping.read(
+                    plan.matrix, rust_interleave=self.rust_data_path)
+                for view, buf in zip(plan.read_views, buffers):
+                    view[...] = buf
+            payload = len(buffers)
+        else:
             raise SerializationError(
                 f"backend cannot handle request kind {kind}")
-        finally:
-            # Runs on injected transport faults too: pooled buffers must
-            # never leak out of an aborted request.
-            for buf in loaned:
-                pool.release(buf)
+
+        self.obs.interleave(tdata)
+        tdata += self._bus_share(tdata)
+        steps = {"Deser": deser_time + translate_time, "T-data": tdata}
+        duration = deser_time + translate_time + dispatch_time + tdata
+        return BackendResult(duration=duration, steps=steps, payload=payload)
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -492,35 +400,18 @@ class VUpmemBackend:
 
     def _rebuild_matrix(self, header: RequestHeader,
                         entries: List[SerializedEntry],
-                        kind: XferKind,
-                        ) -> Tuple[TransferMatrix, List[np.ndarray]]:
-        """Rebuild the transfer matrix, gathering write payloads into
-        pooled scratch buffers.
-
-        Returns ``(matrix, loaned)`` — the caller must release every
-        buffer in ``loaned`` (in a ``finally``) once the rank operation
-        has consumed the payloads.
-        """
-        dpu_entries = []
-        loaned: List[np.ndarray] = []
-        pool = self.pool
-        try:
-            for entry in entries:
-                data = None
-                if kind is XferKind.TO_DPU:
-                    buf = pool.acquire(entry.size)
-                    loaned.append(buf)
-                    data = gather_entry_data(entry, self.memory, out=buf)
-                dpu_entries.append(DpuEntry(dpu_index=entry.dpu_index,
-                                            size=entry.size, data=data))
-            matrix = TransferMatrix(kind, header.symbol, header.offset,
-                                    dpu_entries)
-            matrix.validate()
-        except BaseException:
-            for buf in loaned:
-                pool.release(buf)
-            raise
-        return matrix, loaned
+                        kind: XferKind) -> TransferMatrix:
+        """Rebuild the transfer matrix, gathering write payloads from the
+        guest pages."""
+        dpu_entries = [
+            DpuEntry(dpu_index=entry.dpu_index, size=entry.size,
+                     data=(gather_entry_data(entry, self.memory)
+                           if kind is XferKind.TO_DPU else None))
+            for entry in entries]
+        matrix = TransferMatrix(kind, header.symbol, header.offset,
+                                dpu_entries)
+        matrix.validate()
+        return matrix
 
     def _launch_collecting_dirty(self, mapping: PerfModeMapping,
                                  ) -> BackendResult:

@@ -175,7 +175,7 @@ class VUpmemFrontend:
         #: repetition.  Wall-clock only — bit-identical modeled time —
         #: so it defaults on; ``Optimization(plans=False)`` ablates it.
         self.plans: Optional[PlanCache] = (
-            PlanCache(memory, opts.plan_capacity) if opts.plans else None)
+            PlanCache(memory) if opts.plans else None)
         #: Adaptive digest bypass (``docs/transfer_cache.md``): once the
         #: observed suppression rate over at least
         #: ``opts.cache_bypass_min_probes`` probes stays below
@@ -528,10 +528,11 @@ class VUpmemFrontend:
     #: Digest-invalidation reasons that leave compiled plans replayable.
     #: Rank release and program load do not disturb the reserved guest
     #: memory a plan's wire layout lives in, and the parts that DO go
-    #: stale revalidate themselves on replay: translations through the
-    #: XLB generation counter, pinned MRAM writes through the rank
-    #: identity check.  Everything else (failover, transport-retry
-    #: exhaustion, flush errors, adaptive bypass) drops plans too.
+    #: stale revalidate themselves on replay: page-run bounds checks
+    #: through the backend's translation generation, pinned MRAM writes
+    #: through the rank identity check.  Everything else (failover,
+    #: transport-retry exhaustion, flush errors, adaptive bypass) drops
+    #: plans too.
     _PLAN_SAFE_REASONS = frozenset({"load", "release"})
 
     def _invalidate_digests(self, reason: str) -> None:

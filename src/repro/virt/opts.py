@@ -54,13 +54,6 @@ class OptimizationConfig:
     #: outputs are bit-identical — so the default is on.
     plans: bool = True
 
-    #: Bound on distinct shapes the plan cache holds (LRU beyond it).
-    #: Sized above the largest per-run shape count in the PrIM suite
-    #: (321 for bench-size SpMV): an LRU scanned cyclically by a
-    #: repeated workload degrades to zero hits the moment the working
-    #: set exceeds the capacity.
-    plan_capacity: int = 512
-
     prefetch_pages_per_dpu: int = PREFETCH_PAGES_PER_DPU
     batch_pages_per_dpu: int = BATCH_PAGES_PER_DPU
 

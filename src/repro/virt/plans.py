@@ -18,8 +18,8 @@ shape-derived and content-independent the first time a
 - for reads, the pinned destination views the backend deposits into
   directly (no scatter);
 - a slot for the backend's resolved MRAM destination pairing
-  (:class:`~repro.hardware.rank.PinnedMramWrite`) and the XLB
-  translation generation, so replays skip per-entry re-translation.
+  (:class:`~repro.hardware.rank.PinnedMramWrite`) and the backend's
+  translation generation, so replays skip the per-entry bounds walk.
 
 Plans change **wall-clock time only**: every modeled duration, metric
 that feeds the wall-clock digest, guest-visible byte, and DPU-visible
@@ -119,8 +119,9 @@ class TransferPlan:
     #: MRAM reads deposit straight into ``payload_views`` via ``into=``;
     #: WRAM reads return fresh buffers that replay copies over.
     direct_read: bool
-    #: XLB generation at which this plan's page runs were last resolved.
-    xlb_generation: int = -1
+    #: Backend translation generation at which this plan's page runs
+    #: were last bounds-checked.
+    translation_generation: int = -1
     #: Backend-resolved destination pairing for MRAM writes.
     pinned_write: object = None
     replays: int = field(default=0)
@@ -272,9 +273,15 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
 
 
 class PlanCache:
-    """Bounded LRU of compiled :class:`TransferPlan` per frontend."""
+    """Bounded LRU of compiled :class:`TransferPlan` per frontend.
 
-    def __init__(self, memory: GuestMemory, capacity: int = 128) -> None:
+    The default capacity sits above the largest per-run shape count in
+    the PrIM suite (321 for bench-size SpMV): an LRU scanned cyclically
+    by a repeated workload degrades to zero hits the moment the working
+    set exceeds the capacity.
+    """
+
+    def __init__(self, memory: GuestMemory, capacity: int = 512) -> None:
         self.memory = memory
         self.capacity = max(1, capacity)
         self._plans: "OrderedDict[Tuple, TransferPlan]" = OrderedDict()

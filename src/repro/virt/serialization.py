@@ -266,25 +266,16 @@ def deserialize_request(chain: List[Descriptor], memory: GuestMemory,
     return header, entries, skips
 
 
-def gather_entry_data(entry: SerializedEntry, memory: GuestMemory,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
+def gather_entry_data(entry: SerializedEntry,
+                      memory: GuestMemory) -> np.ndarray:
     """Collect an entry's payload from guest pages (bulk per contiguous run).
 
-    With ``out`` (a pooled scratch buffer of at least ``entry.size`` bytes)
-    the gather is allocation-free; the returned array is the filled
-    ``entry.size``-byte prefix of ``out``.  Only the payload bytes are
-    touched — the partial tail page is never read past ``entry.size``.
+    Only the payload bytes are touched — the partial tail page is never
+    read past ``entry.size``.
     """
-    if out is None:
-        out = np.empty(entry.size, dtype=np.uint8)
-    elif out.size < entry.size:
-        raise SerializationError(
-            f"gather buffer of {out.size} bytes is smaller than entry "
-            f"size {entry.size}"
-        )
-    dst = out[:entry.size]
-    memory.gather_pages(entry.page_gpas, entry.size, dst)
-    return dst
+    out = np.empty(entry.size, dtype=np.uint8)
+    memory.gather_pages(entry.page_gpas, entry.size, out)
+    return out
 
 
 def scatter_entry_data(entry: SerializedEntry, data: np.ndarray,

@@ -19,8 +19,9 @@ from repro.faults import (
 )
 from repro.hardware.rank import RankHealth
 from repro.virt.manager import RankState
+from repro.virt.opts import OptimizationConfig
 
-from tests.faults.conftest import schedule
+from tests.faults.conftest import arm_stack, schedule
 
 APP = dict(nr_dpus=8, n_elements=1 << 12)
 
@@ -56,6 +57,17 @@ class TestRunWithRecovery:
             run_with_recovery(session, VectorAdd(**APP), max_attempts=2)
         assert vpim.machine.metrics.value(
             "repro_fault_sessions_lost_total") == 1
+
+    def test_clean_run_verifies_after_repeated_dpu_faults(self, chaos_vpim):
+        """Aborted sessions on the naive (plans-off) data path leave
+        nothing behind that breaks the next clean session."""
+        vpim, injector, session = arm_stack(
+            chaos_vpim, OptimizationConfig(plans=False))
+        for _ in range(3):
+            schedule(injector, 0.0, FaultKind.DPU_KERNEL_FAULT, "rank:*")
+            with pytest.raises(DpuFaultError):
+                session.run(VectorAdd(**APP))
+        assert session.run(VectorAdd(**APP)).verified
 
     def test_unverified_report_is_retried_as_corruption(self, armed):
         """Silent bit flips surface only through verify; the rerun path

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.config import MRAM_HEAP_SYMBOL, small_machine
+from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE, small_machine
 from repro.driver.driver import UpmemDriver
-from repro.errors import DeviceNotLinkedError, SerializationError
+from repro.errors import (
+    DeviceNotLinkedError,
+    SerializationError,
+    TranslationError,
+)
 from repro.hardware.machine import Machine
 from repro.hardware.timing import DEFAULT_COST_MODEL
 from repro.sdk.transfer import uniform_read, uniform_write
 from repro.virt.backend import VUpmemBackend
 from repro.virt.guest_memory import GuestMemory
+from repro.virt.plans import compile_plan, plan_key
 from repro.virt.serialization import (
     RequestHeader,
     RequestKind,
@@ -84,6 +89,62 @@ def test_read_deposits_into_guest_pages(env):
     backend.process(sreq.chain)
     dpu1 = [d for d in sreq.data_descriptors if d[0] == 1][0]
     assert np.array_equal(memory.read(dpu1[2], 500), payload)
+
+
+def test_read_bounds_checks_every_page(env):
+    """A request is bounds-checked page by page, not by its run ends: a
+    chain matching an earlier good read in first GPA, last GPA and page
+    count, but with a middle page outside guest memory, is refused
+    before the rank is touched."""
+    machine, _, memory, backend = env
+    backend.link_rank(0)
+    matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, 3 * PAGE_SIZE, nr_dpus=1)
+    header = RequestHeader(kind=RequestKind.READ_RANK,
+                           symbol=MRAM_HEAP_SYMBOL)
+    chain = chain_for(header, matrix, memory)
+    backend.process(chain)
+    pages = memory.read(chain[3].gpa, chain[3].length).view(np.uint64).copy()
+    assert pages.size == 3
+    pages[1] = memory.size + PAGE_SIZE
+    bad_chain = chain[:3] + [write_buffer(memory, pages,
+                                          device_writable=True)]
+    rank = machine.rank(0)
+    reads = rank.read_ops
+    with pytest.raises(TranslationError):
+        backend.process(bad_chain)
+    assert rank.read_ops == reads
+
+
+def test_plan_replay_revalidates_once_per_generation(env, monkeypatch):
+    """A replayed plan skips the page bounds walk while the translation
+    generation holds; an unlink bumps it and the next replay walks once."""
+    _, _, memory, backend = env
+    backend.link_rank(0)
+    data = np.ones(3000, dtype=np.uint8)
+    matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, [data, data])
+    header = RequestHeader(kind=RequestKind.WRITE_RANK,
+                           symbol=MRAM_HEAP_SYMBOL)
+    plan = compile_plan(plan_key(header, matrix, None, None, False),
+                        header, matrix, memory, None, None, batched=False)
+    walked = []
+    translate = memory.translate_pages
+
+    def counting(gpas):
+        walked.append(gpas)
+        return translate(gpas)
+
+    monkeypatch.setattr(memory, "translate_pages", counting)
+
+    def replay():
+        backend.process(plan.replay(matrix, None, None).chain, plan=plan)
+        return len(walked)
+
+    assert replay() == 2    # first sight: both entries checked
+    assert replay() == 2    # same generation: no walk
+    backend.unlink()
+    backend.link_rank(0)
+    assert replay() == 4    # re-validated once after the relink
+    assert replay() == 4
 
 
 def test_rust_path_slower_on_writes(env):

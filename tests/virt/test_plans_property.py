@@ -303,8 +303,9 @@ class TestPlanInvalidation:
     def test_failover_reason_drops_plans_but_release_does_not(self):
         """Digest-invalidation reasons that imply lost device state drop
         plans; ``release``/``load`` (plan-safe reasons) must not — plan
-        validity is re-checked against guest generation and the XLB on
-        every hit, which is what makes cross-run replay possible."""
+        validity is re-checked against guest generation and the
+        backend's translation generation on every hit, which is what
+        makes cross-run replay possible."""
         _, session = _session(plans=True)
         dpus = self._warm(session)
         frontend = session.vm.devices[0].frontend

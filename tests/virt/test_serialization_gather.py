@@ -3,8 +3,8 @@
 ``gather_entry_data``/``scatter_entry_data`` moved from a per-page Python
 loop to one bulk copy per contiguous page run.  These tests pin the wire
 behavior the rest of the stack relies on: non-page-aligned tails, empty
-slices, pooled destination buffers, and — via hypothesis — byte-for-byte
-agreement with the original per-page reference loop.
+slices, size checks, and — via hypothesis — byte-for-byte agreement with
+the original per-page reference loop.
 """
 
 from __future__ import annotations
@@ -99,24 +99,7 @@ class TestZeroLengthSlices:
         assert gather_entry_data(entry, memory).size == 0
 
 
-class TestPooledOut:
-    def test_gather_into_oversized_scratch(self, memory):
-        payload = (np.arange(2 * PAGE_SIZE + 99) % 256).astype(np.uint8)
-        entry = make_entry(memory, payload)
-        scratch = np.full(8 * PAGE_SIZE, 0xAB, dtype=np.uint8)
-        out = gather_entry_data(entry, memory, out=scratch)
-        assert out.base is scratch or out is scratch  # a view, no copy
-        assert np.array_equal(out, payload)
-        # Bytes past the payload in the scratch buffer are untouched.
-        assert (scratch[payload.size:] == 0xAB).all()
-
-    def test_gather_rejects_undersized_scratch(self, memory):
-        payload = np.ones(PAGE_SIZE, dtype=np.uint8)
-        entry = make_entry(memory, payload)
-        with pytest.raises(SerializationError):
-            gather_entry_data(entry, memory,
-                              out=np.empty(PAGE_SIZE - 1, dtype=np.uint8))
-
+class TestScatterChecks:
     def test_scatter_rejects_size_mismatch(self, memory):
         payload = np.ones(PAGE_SIZE, dtype=np.uint8)
         entry = make_entry(memory, payload)
