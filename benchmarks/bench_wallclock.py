@@ -64,6 +64,7 @@ from repro.hardware.interleave import (  # noqa: E402
     interleave_into,
 )
 from repro.hardware.memory import MemoryRegion  # noqa: E402
+from repro.sdk.runtime import generator_only  # noqa: E402
 from repro.sdk.transfer import uniform_write  # noqa: E402
 from repro.virt.guest_memory import GuestMemory  # noqa: E402
 from repro.virt.opts import OptimizationConfig  # noqa: E402
@@ -326,7 +327,33 @@ def profile_suite(quick: bool, limit: int = 20) -> List[dict]:
     return top
 
 
+def ablation_row(off: Dict[str, dict], on: Dict[str, dict],
+                 on_digest: str) -> dict:
+    """Compare a mechanism-off suite run with the mechanism-on one.
+
+    Same machine, back-to-back arms: the memcpy calibration factor
+    cancels, so the plain wall ratio IS the calibration-normalized
+    speedup.  Bit-identity must hold repetition by repetition, not just
+    on the digested first repetition.
+    """
+    off_wall = sum(row["wall_s"] for row in off.values())
+    on_wall = sum(row["wall_s"] for row in on.values())
+    off_digest = modeled_digest(off)
+    reps_match = all(off[name]["rep_totals"] == on[name]["rep_totals"]
+                     for name in on)
+    return {
+        "off_wall_s": off_wall,
+        "on_wall_s": on_wall,
+        "speedup": off_wall / on_wall,
+        "digests_match": off_digest == on_digest and reps_match,
+        "off_digest": off_digest,
+        "per_app_speedup": {name: off[name]["wall_s"] / on[name]["wall_s"]
+                            for name in on},
+    }
+
+
 def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
+            ablate_vector_kernels: bool = False,
             profile: bool = False) -> dict:
     calibration = calibrate_memcpy()
     micro = {name: fn(quick) for name, fn in MICROS.items()}
@@ -348,29 +375,19 @@ def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
         "modeled_digest": modeled_digest(suite),
     }
     if ablate_plans:
-        # Same machine, back-to-back arms: the memcpy calibration factor
-        # cancels, so the plain wall ratio IS the calibration-normalized
-        # speedup.
+        # A replayed plan may not shift any repetition's modeled total
+        # relative to the naive path.
         off = run_suite(quick, repeats=repeats,
                         opts=OptimizationConfig(plans=False))
-        off_wall = sum(row["wall_s"] for row in off.values())
-        off_digest = modeled_digest(off)
-        # Bit-identity must hold repetition-by-repetition, not just on
-        # the digested first repetition: a replayed plan may not shift
-        # any repetition's modeled total relative to the naive path.
-        reps_match = all(off[name]["rep_totals"] == suite[name]["rep_totals"]
-                         for name in suite)
-        report["plans_ablation"] = {
-            "off_wall_s": off_wall,
-            "on_wall_s": suite_wall,
-            "speedup": off_wall / suite_wall,
-            "digests_match": (off_digest == report["modeled_digest"]
-                              and reps_match),
-            "off_digest": off_digest,
-            "per_app_speedup": {
-                name: off[name]["wall_s"] / suite[name]["wall_s"]
-                for name in suite},
-        }
+        report["plans_ablation"] = ablation_row(off, suite,
+                                                report["modeled_digest"])
+    if ablate_vector_kernels:
+        # The tasklet-vectorized kernels switched off in-process: every
+        # program runs its per-tasklet generators, the reference form.
+        with generator_only():
+            off = run_suite(quick, repeats=repeats)
+        report["vector_kernels_ablation"] = ablation_row(
+            off, suite, report["modeled_digest"])
     if profile:
         report["profile_top20"] = profile_suite(quick)
     return report
@@ -392,12 +409,14 @@ def print_report(report: dict, baseline: dict | None = None) -> None:
               f"   {row['modeled_total_s'] * 1e3:9.2f} ms modeled  {mark}")
     print(f"\nsuite wall total: {report['suite_wall_s'] * 1e3:.1f} ms")
     print(f"modeled digest:   {report['modeled_digest'][:32]}…")
-    ablation = report.get("plans_ablation")
-    if ablation:
-        match = "match" if ablation["digests_match"] else "MISMATCH"
-        print(f"plans ablation:   off {ablation['off_wall_s'] * 1e3:.1f} ms"
-              f" -> on {ablation['on_wall_s'] * 1e3:.1f} ms"
-              f"  ({ablation['speedup']:.2f}x, digests {match})")
+    for key, label in (("plans_ablation", "plans ablation:  "),
+                       ("vector_kernels_ablation", "vector kernels:  ")):
+        ablation = report.get(key)
+        if ablation:
+            match = "match" if ablation["digests_match"] else "MISMATCH"
+            print(f"{label} off {ablation['off_wall_s'] * 1e3:.1f} ms"
+                  f" -> on {ablation['on_wall_s'] * 1e3:.1f} ms"
+                  f"  ({ablation['speedup']:.2f}x, digests {match})")
     for row in report.get("profile_top20", ()):
         print(f"  {row['cumtime_s'] * 1e3:9.1f} ms cum"
               f"  {row['ncalls']:>9} calls  {row['function']}")
@@ -418,6 +437,12 @@ def check_regression(report: dict, committed: dict, threshold: float,
     at least one plan.
     """
     failures = []
+    vector = report.get("vector_kernels_ablation")
+    if vector and not vector["digests_match"]:
+        failures.append(
+            "vector-kernel ablation digest mismatch: generator-only and "
+            f"vectorized modeled outputs differ ({vector['off_digest'][:16]}… "
+            f"off vs {report['modeled_digest'][:16]}… on)")
     ablation = report.get("plans_ablation")
     if ablation:
         if not ablation["digests_match"]:
@@ -498,6 +523,10 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--ablate-plans", action="store_true",
                         help="also run the suite with the plan cache off "
                              "and record the speedup + digest comparison")
+    parser.add_argument("--ablate-vector-kernels", action="store_true",
+                        help="also run the suite with the tasklet-vectorized "
+                             "kernels off (generators only) and record the "
+                             "per-app speedups + digest comparison")
     parser.add_argument("--ablation-floor", type=float, default=1.0,
                         help="minimum plans-off/plans-on suite speedup "
                              "--check accepts (default 1.0)")
@@ -507,7 +536,9 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     report = measure(quick=args.quick, repeats=args.repeats,
-                     ablate_plans=args.ablate_plans, profile=args.profile)
+                     ablate_plans=args.ablate_plans,
+                     ablate_vector_kernels=args.ablate_vector_kernels,
+                     profile=args.profile)
 
     baseline = None
     if args.baseline and args.baseline.exists():

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, TaskletContext, VectorRun, tasklet_range
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_graph_csr
 
@@ -117,6 +117,55 @@ class BfsProgram(DpuProgram):
             ctx.mram_write_blocks(ctx.host_u32("args", 5),
                                   np.packbits(nxt))
             ctx.charge(nv // 8)
+
+    def vector_kernel(self, run: VectorRun) -> None:
+        nv, first, n_owned, col_off, f_off, n_off = (
+            run.host_u32("args", i) for i in range(6))
+        starts, stops = run.tasklet_ranges(n_owned)
+        k = int(np.count_nonzero(stops > starts))
+        run.mem_alloc(3 * 1024, k)
+        nxt = np.zeros(nv, dtype=np.uint8)
+        if k:
+            # Every working tasklet streams the bitmap and the row
+            # pointers; its share of the active vertices is a contiguous
+            # run of ``active``, and its edges a contiguous run of the
+            # one gather below.
+            nbytes = (nv + 7) // 8
+            row_bytes = (n_owned + 1) * 4
+            packed = run.mram_read(f_off, nbytes)
+            row_ptr = run.mram_read(0, row_bytes).view(np.int32)
+            run.charge_dma(nbytes, calls=k)
+            run.charge_dma(row_bytes, calls=k)
+            # The owned vertices' frontier bits, as the tasklets test them.
+            last_byte = (first + n_owned - 1) >> 3
+            if last_byte >= packed.size:
+                raise IndexError("BFS owned vertices exceed the bitmap")
+            bits = np.unpackbits(packed[first >> 3:last_byte + 1])
+            active = np.flatnonzero(bits[first & 7:(first & 7) + n_owned])
+            edges = 0
+            if active.size:
+                starts_e = row_ptr[active]
+                sizes = row_ptr[active + 1] - starts_e
+                if sizes.min() < 0:
+                    raise ValueError("BFS row pointers are not monotone")
+                csum = np.cumsum(sizes, dtype=np.int64)
+                ends = np.concatenate([[0], csum])
+                edges = (ends[np.searchsorted(active, stops[:k])]
+                         - ends[np.searchsorted(active, starts[:k])])
+                total = int(ends[-1])
+                if total:
+                    cols_bytes = int(row_ptr[n_owned]) * 4
+                    cols = run.mram_read(col_off, cols_bytes).view(np.int32)
+                    run.charge_dma(cols_bytes,
+                                   calls=int(np.count_nonzero(edges)))
+                    flat = (np.arange(total)
+                            + np.repeat(starts_e - (csum - sizes), sizes))
+                    nxt[cols[flat]] = 1
+            run.instructions[:k] += np.maximum(1, edges) * INSTR_PER_EDGE
+        out = np.packbits(nxt)
+        run.mram_write(n_off, out)
+        run.charge_dma(out.size)
+        run.instructions[0] += nv // 8
 
 
 class BreadthFirstSearch(HostApplication):

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, TaskletContext, VectorRun, tasklet_range
 from repro.sdk.transport import Transport
 from repro.workloads.generators import sorted_array
 
@@ -52,6 +52,41 @@ class BsProgram(DpuProgram):
         ctx.mram_write_blocks(r_off + qrange.start * 8, results)
         probes = int(np.ceil(np.log2(max(2, n))))
         ctx.charge_loop(len(qrange), INSTR_PER_PROBE * probes)
+
+    def vector_kernel(self, run: VectorRun) -> None:
+        n = run.host_u32("n_elems")
+        nq = run.host_u32("n_queries")
+        q_off = run.host_u32("q_offset")
+        r_off = run.host_u32("r_offset")
+        base = run.host_u32("base_index")
+        starts, stops = run.tasklet_ranges(nq)
+        lens = (stops - starts)[stops > starts]
+        if lens.size == 0 or n == 0:
+            return
+        run.mem_alloc(2 * 1024, lens.size)
+        # Tasklet t+1 reads after tasklet t stored its results: only a
+        # layout whose results miss both inputs can be read up front.
+        if r_off < n * 8 or (r_off < q_off + nq * 8
+                             and q_off < r_off + nq * 8):
+            raise ValueError("BS results overlap its inputs")
+        data = run.mram_read(0, n * 8).view(np.int64)
+        queries = run.mram_read(q_off, nq * 8).view(np.int64)
+        run.charge_dma(n * 8, calls=lens.size)
+        run.charge_dma(lens * 8)
+        if (data[1:] < data[:-1]).any():
+            raise ValueError("BS slice is not sorted")
+        # A sorted slice can only hold queries in [data[0], data[-1]]; every
+        # other query misses, so only those in range are searched.
+        results = np.full(nq, -1, dtype=np.int64)
+        inside = np.flatnonzero((queries >= data[0]) & (queries <= data[-1]))
+        probe = queries[inside]
+        pos = np.searchsorted(data, probe)
+        hit = data[pos] == probe
+        results[inside[hit]] = pos[hit] + base
+        run.mram_write(r_off, results, pieces=lens * 8)
+        run.charge_dma(lens * 8)
+        probes = int(np.ceil(np.log2(max(2, n))))
+        run.instructions[:lens.size] += lens * (INSTR_PER_PROBE * probes)
 
 
 class BinarySearch(HostApplication):

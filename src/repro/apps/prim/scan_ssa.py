@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, TaskletContext, VectorRun, tasklet_range
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -70,6 +70,41 @@ class ScanSsaProgram(DpuProgram):
                     out_off + rng.start * 8, len(rng) * 8).view(np.int64)
                 ctx.mram_write_blocks(out_off + rng.start * 8, scanned + base)
                 ctx.charge_loop(len(rng), INSTR_PER_ADD)
+
+    def vector_kernel(self, run: VectorRun) -> None:
+        n = run.host_u32("n_elems")
+        out_off = run.host_u32("out_offset")
+        phase = run.host_u32("phase")
+        starts, stops = run.tasklet_ranges(n)
+        lens = (stops - starts)[stops > starts]
+        k = lens.size
+        run.mem_alloc(2 * 1024, run.nr_tasklets)
+        if phase == 0:
+            # Each tasklet's scan plus the sum of the earlier tasklets'
+            # totals is the DPU-wide inclusive scan (exact in int64).
+            scanned = np.cumsum(
+                run.mram_read(0, n * 4).view(np.int32), dtype=np.int64)
+            run.charge_dma(lens * 4)
+            run.instructions[:k] += lens * (INSTR_PER_SCAN + 1)
+            total = np.array([scanned[-1] if n else 0], dtype=np.int64)
+            # Store order of the generators: tasklet 0's slice, its
+            # total, then the other tasklets' slices.
+            head = int(lens[0]) if k else 0
+            if k:
+                run.mram_write(out_off, scanned[:head])
+            run.mram_write(run.host_u32("sum_offset"), total)
+            if k > 1:
+                run.mram_write(out_off + head * 8, scanned[head:],
+                               pieces=lens[1:] * 8)
+            run.charge_dma(lens * 8)
+            run.charge_dma(8, block_bytes=None)
+        elif k:
+            base = run.host_i64("base")
+            scanned = run.mram_read(out_off, n * 8).view(np.int64)
+            run.mram_write(out_off, scanned + base, pieces=lens * 8)
+            run.charge_dma(lens * 8)
+            run.charge_dma(lens * 8)
+            run.instructions[:k] += lens * INSTR_PER_ADD
 
 
 class ScanSsa(HostApplication):

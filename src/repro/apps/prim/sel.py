@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, TaskletContext, VectorRun, tasklet_range
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -23,8 +23,9 @@ INSTR_PER_ELEM = 5
 
 
 def predicate(values: np.ndarray) -> np.ndarray:
-    """The PrIM SEL predicate: keep even values."""
-    return values % 2 == 0
+    """The PrIM SEL predicate: keep even values (``x % 2 == 0``, tested
+    on the low bit, which agrees for negative two's-complement values)."""
+    return (values & 1) == 0
 
 
 class SelProgram(DpuProgram):
@@ -59,6 +60,22 @@ class SelProgram(DpuProgram):
             if out.size:
                 ctx.mram_write_blocks(ctx.host_u32("out_offset"), out)
             ctx.charge(ctx.nr_tasklets * 4)
+
+    def vector_kernel(self, run: VectorRun) -> None:
+        n = run.host_u32("n_elems")
+        starts, stops = run.tasklet_ranges(n)
+        lens = (stops - starts)[stops > starts]
+        run.mem_alloc(2 * 1024, run.nr_tasklets)
+        data = run.mram_read(0, n * 4).view(np.int32)
+        run.charge_dma(lens * 4)
+        run.instructions[:lens.size] += lens * INSTR_PER_ELEM
+        # The concatenated per-tasklet compactions are one stable filter.
+        out = np.compress(predicate(data), data)
+        run.set_host_u32("n_selected", out.size)
+        if out.size:
+            run.mram_write(run.host_u32("out_offset"), out)
+            run.charge_dma(out.nbytes)
+        run.instructions[0] += run.nr_tasklets * 4
 
 
 class Select(HostApplication):

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.apps.base import HostApplication
 from repro.sdk.dpu_set import DpuSet
-from repro.sdk.kernel import DpuProgram, TaskletContext, tasklet_range
+from repro.sdk.kernel import DpuProgram, TaskletContext, VectorRun, tasklet_range
 from repro.sdk.transport import Transport
 from repro.workloads.generators import random_array
 
@@ -83,6 +83,33 @@ class TsProgram(DpuProgram):
             ctx.set_host_i64("best_dist", dist)
             ctx.set_host_i64("best_index", index)
             ctx.charge(ctx.nr_tasklets * 3)
+
+    def vector_kernel(self, run: VectorRun) -> None:
+        n = run.host_u32("n_points")
+        m = run.host_u32("m")
+        q_off = run.host_u32("q_offset")
+        n_windows = max(0, n - m + 1)
+        starts, stops = run.tasklet_ranges(n_windows)
+        lens = (stops - starts)[stops > starts]
+        run.mem_alloc(3 * 1024, lens.size)
+        # Idle tasklets leave their initial entry in the reduction.
+        best = [(np.iinfo(np.int64).max, -1)] if lens.size < run.nr_tasklets else []
+        if lens.size:
+            query = run.mram_read(q_off, m * 4).view(np.int32)
+            span = run.mram_read(0, (n_windows + m - 1) * 4).view(np.int32)
+            run.charge_dma(m * 4, calls=lens.size)
+            run.charge_dma((lens + m - 1) * 4)
+            # The profile is exact, so one pass over all windows equals
+            # the per-tasklet profiles; the first global minimum is the
+            # (distance, index) minimum of the per-tasklet bests.
+            dists = _ssd_profile(span, query)
+            index = int(dists.argmin())
+            best.append((int(dists[index]), index))
+            run.instructions[:lens.size] += lens * m * INSTR_PER_POINT
+        dist, index = min(best)
+        run.set_host_i64("best_dist", dist)
+        run.set_host_i64("best_index", index)
+        run.instructions[0] += run.nr_tasklets * 3
 
 
 class TimeSeries(HostApplication):

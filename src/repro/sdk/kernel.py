@@ -15,18 +15,24 @@ is a *generator function* executed once per tasklet (SPMD):
 
 Host-visible variables (``__host`` in real DPU C) are declared in
 ``DpuProgram.symbols`` and accessed with the typed helpers.
+
+A program may also define ``vector_kernel(run)``, a tasklet-vectorized
+form that computes all tasklets of one DPU in one numpy pass through a
+:class:`VectorRun`.  The generator stays the reference: the vectorized
+form must leave the same stores, dirty-log entries, per-tasklet
+instructions and DMA charges.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Generator, Optional
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import MAX_TASKLETS, MRAM_HEAP_SYMBOL, WRAM_SIZE
 from repro.errors import DpuFaultError
-from repro.hardware.dpu import Dpu
+from repro.hardware.dpu import Dpu, DpuRunStats
 
 #: Sentinel yielded by kernels at barrier points.
 BARRIER = object()
@@ -53,9 +59,11 @@ class DpuProgram:
         """The per-tasklet generator body.  Must be overridden."""
         raise NotImplementedError
 
-    def instruction_estimate(self) -> Optional[int]:  # pragma: no cover - doc hook
-        """Optional static estimate used by documentation tooling."""
-        return None
+    #: Optional tasklet-vectorized form, ``vector_kernel(run)``: computes
+    #: every tasklet of one DPU in a single numpy pass through a
+    #: :class:`VectorRun`.  ``None`` (the default) runs the generators
+    #: only; :meth:`kernel` stays the reference the form must match.
+    vector_kernel: Optional[Callable[["VectorRun"], None]] = None
 
 
 class DpuSharedState:
@@ -267,6 +275,126 @@ class TaskletContext:
     def barrier(self) -> object:
         """Return the barrier sentinel: use as ``yield ctx.barrier()``."""
         return BARRIER
+
+
+class VectorRun:
+    """Execution context of a tasklet-vectorized form (all tasklets at once).
+
+    A program's ``vector_kernel(run)`` computes every tasklet of one DPU
+    in one numpy pass.  It must leave exactly what the generator form
+    leaves: the per-tasklet :attr:`instructions`, the DMA ops and bytes
+    each tasklet's calls would charge (:meth:`charge_dma`), and the same
+    stores with the same dirty-log entries in tasklet order.  Stores are
+    *staged*: :meth:`commit` applies them only once the form has
+    returned, so a form that raises leaves the DPU untouched and the
+    runtime reruns the generator oracle on it.  Reads see the DPU as it
+    was at launch, so a form whose generators would read their own
+    earlier stores must raise instead.
+    """
+
+    def __init__(self, dpu: Dpu, nr_tasklets: int) -> None:
+        self.dpu = dpu
+        self.nr_tasklets = nr_tasklets
+        #: Pipeline instructions per tasklet (``TaskletContext.charge``).
+        self.instructions = np.zeros(nr_tasklets, dtype=np.int64)
+        self.dma_ops = 0
+        self.dma_bytes = 0
+        self._wram_used = 0
+        #: ``(space, offset, bytes, pieces)`` per staged store, in order.
+        self._stores: List[Tuple[str, int, np.ndarray, Sequence[int]]] = []
+
+    def tasklet_ranges(self, total: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-tasklet ``(starts, stops)`` of :func:`tasklet_range`."""
+        chunk = (total + self.nr_tasklets - 1) // self.nr_tasklets
+        starts = np.minimum(np.arange(self.nr_tasklets, dtype=np.int64) * chunk,
+                            total)
+        return starts, np.minimum(starts + chunk, total)
+
+    def mem_alloc(self, size: int, count: int) -> None:
+        """``count`` tasklets each call ``mem_alloc(size)`` on a reset heap."""
+        self._wram_used += ((size + 7) & ~7) * count
+        if self._wram_used > WRAM_SIZE:
+            raise DpuFaultError(f"WRAM heap overflow: {self._wram_used} "
+                                f"> {WRAM_SIZE} bytes")
+
+    # -- DMA -------------------------------------------------------------------
+
+    def charge_dma(self, lengths, calls: int = 1,
+                   block_bytes: Optional[int] = 2048) -> None:
+        """Charge ``calls`` DMA calls of ``lengths`` bytes each, or one
+        call per entry when ``lengths`` is an array.
+
+        With ``block_bytes`` each call costs ``max(1, ceil(len/block))``
+        ops, as ``mram_{read,write}_blocks``; ``None`` is one op per call,
+        as ``mram_read``/``mram_write``.
+        """
+        if isinstance(lengths, np.ndarray):
+            self.dma_ops += (lengths.size if block_bytes is None else int(
+                np.maximum(1, -(-lengths // block_bytes)).sum()))
+            self.dma_bytes += int(lengths.sum())
+        else:
+            per_call = (1 if block_bytes is None
+                        else max(1, -(-lengths // block_bytes)))
+            self.dma_ops += calls * per_call
+            self.dma_bytes += calls * lengths
+
+    def mram_read(self, offset: int, length: int) -> np.ndarray:
+        """MRAM bytes as at launch (uncharged: see :meth:`charge_dma`)."""
+        return self.dpu.mram.read(offset, length)
+
+    def mram_write(self, offset: int, data: np.ndarray,
+                   pieces: Optional[Sequence[int]] = None) -> None:
+        """Stage an MRAM store (uncharged).
+
+        ``pieces`` splits it into the consecutive per-tasklet stores the
+        generator makes, one dirty-log entry each; default one store.
+        """
+        buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        if offset < 0 or offset + buf.size > self.dpu.mram.size:
+            raise DpuFaultError(f"MRAM store [{offset}, {offset + buf.size}) "
+                                "out of range")
+        self._stores.append((MRAM_HEAP_SYMBOL, offset, buf,
+                             (buf.size,) if pieces is None else pieces))
+
+    # -- host-visible symbols ----------------------------------------------------
+
+    def host_u32(self, name: str, index: int = 0) -> int:
+        return struct.unpack_from("<I", self.dpu.symbols[name], index * 4)[0]
+
+    def host_i64(self, name: str, index: int = 0) -> int:
+        return struct.unpack_from("<q", self.dpu.symbols[name], index * 8)[0]
+
+    def _stage_symbol(self, name: str, offset: int, raw: bytes) -> None:
+        if offset + len(raw) > len(self.dpu.symbols[name]):
+            raise DpuFaultError(f"symbol {name!r} store out of range")
+        self._stores.append((name, offset, np.frombuffer(raw, np.uint8),
+                             (len(raw),)))
+
+    def set_host_u32(self, name: str, value: int, index: int = 0) -> None:
+        self._stage_symbol(name, index * 4,
+                           struct.pack("<I", value & 0xFFFFFFFF))
+
+    def set_host_i64(self, name: str, value: int, index: int = 0) -> None:
+        self._stage_symbol(name, index * 8, struct.pack("<q", value))
+
+    # -- commit ----------------------------------------------------------------
+
+    def commit(self) -> DpuRunStats:
+        """Apply the staged stores in order; return the run statistics."""
+        dpu = self.dpu
+        log = dpu.dirty_log
+        for space, offset, buf, pieces in self._stores:
+            if space == MRAM_HEAP_SYMBOL:
+                dpu.mram.write(offset, buf)
+            else:
+                dpu.symbols[space][offset:offset + buf.size] = buf.tobytes()
+            if log is not None:
+                for nbytes in pieces:
+                    if nbytes:
+                        log.append((space, offset, int(nbytes)))
+                    offset += int(nbytes)
+        return DpuRunStats(tasklet_instructions=self.instructions.tolist(),
+                           dma_ops=self.dma_ops, dma_bytes=self.dma_bytes)
 
 
 def tasklet_range(ctx: TaskletContext, total: int) -> range:

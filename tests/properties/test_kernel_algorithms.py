@@ -1,9 +1,9 @@
 """Algorithmic property tests: vectorized kernels vs brute-force oracles.
 
 Several kernels use non-obvious vectorizations (NW's prefix-max trick
-for the in-row gap dependency, BS's searchsorted, TS's stride tricks).
-These tests pin them against straightforward O(n^2)/O(n*m) references on
-small random instances.
+for the in-row gap dependency, BS's searchsorted, TS's rolling window
+sums plus ``np.correlate``).  These tests pin them against
+straightforward O(n^2)/O(n*m) references on small random instances.
 """
 
 import numpy as np

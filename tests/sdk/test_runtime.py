@@ -1,12 +1,17 @@
-"""Tasklet scheduler: barrier phases, errors, determinism."""
+"""Tasklet scheduler: barrier phases, errors, determinism, and the
+vectorized-form dispatch with its generator fallback."""
 
 import numpy as np
 import pytest
 
+from repro.config import RankConfig
+from repro.driver.driver import launch_rank, load_program_on_rank
 from repro.errors import DpuFaultError
-from repro.hardware.dpu import Dpu
+from repro.hardware.dpu import Dpu, DpuState
+from repro.hardware.rank import Rank
+from repro.observability.metrics import MetricsRegistry
 from repro.sdk.kernel import DpuProgram
-from repro.sdk.runtime import make_runner, run_program
+from repro.sdk.runtime import generator_only, run_program
 
 
 def make_dpu(program: DpuProgram) -> Dpu:
@@ -22,18 +27,21 @@ class OrderProgram(DpuProgram):
     symbols = {}
     nr_tasklets = 4
 
+    def __init__(self):
+        self.log = []
+
     def kernel(self, ctx):
-        ctx.shared.setdefault("log", []).append(("p1", ctx.me()))
+        self.log.append(("p1", ctx.me()))
         yield ctx.barrier()
-        ctx.shared["log"].append(("p2", ctx.me()))
+        self.log.append(("p2", ctx.me()))
 
 
 def test_barrier_separates_phases():
     program = OrderProgram()
-    dpu = make_dpu(program)
-    run_program(program, dpu)
-    # Rebuild the log through a second run to inspect ordering.
-    # (shared state is per-run, so capture through a fresh run)
+    run_program(program, make_dpu(program))
+    phases = [phase for phase, _ in program.log]
+    assert phases == ["p1"] * 4 + ["p2"] * 4
+    assert [t for _, t in program.log] == [0, 1, 2, 3] * 2
 
 
 class CaptureProgram(DpuProgram):
@@ -149,11 +157,9 @@ def test_tasklet_limit_enforced():
 
 def test_runner_checks_loaded_program():
     program = StatsProgram()
-    other = CaptureProgram()
-    dpu = make_dpu(other)
-    runner = make_runner(program)
-    with pytest.raises(DpuFaultError):
-        runner(dpu)
+    dpu = make_dpu(CaptureProgram())
+    with pytest.raises(DpuFaultError, match="does not have 'stats' loaded"):
+        run_program(program, dpu)
 
 
 def test_deterministic_results():
@@ -176,3 +182,80 @@ def test_deterministic_results():
         results.append(dpu.read_symbol("total", 0, 8))
     assert results[0] == results[1] == results[2]
     assert int.from_bytes(results[0], "little") == sum(range(8))
+
+
+class FlagFaultProgram(DpuProgram):
+    """Each tasklet stores its id + 1; a set ``flag`` faults the kernel.
+
+    The vectorized form stages the same stores, then gives up on a
+    flagged DPU with a different error than the generators raise.
+    """
+
+    name = "flag_fault"
+    symbols = {"flag": 4}
+    nr_tasklets = 4
+
+    def kernel(self, ctx):
+        if ctx.host_u32("flag"):
+            raise DpuFaultError(f"tasklet {ctx.me()} hit the fault flag")
+        ctx.mram_write(ctx.me() * 8, np.array([ctx.me() + 1], np.int64))
+        ctx.charge(3)
+        yield ctx.barrier()
+
+    def vector_kernel(self, run):
+        n = run.nr_tasklets
+        run.mram_write(0, np.arange(1, n + 1, dtype=np.int64),
+                       pieces=[8] * n)
+        run.charge_dma(8, calls=n, block_bytes=None)
+        run.instructions += 3
+        if run.host_u32("flag"):
+            run.set_host_u32("flag", 0)
+            raise RuntimeError("vectorized form declines this DPU")
+
+
+def _launch_flagged(faulty: int, nr_dpus: int = 4):
+    registry = MetricsRegistry()
+    rank = Rank(RankConfig(0, nr_dpus), metrics=registry)
+    program = FlagFaultProgram()
+    load_program_on_rank(rank, program)
+    rank.dpu(faulty).write_symbol("flag", 0, (1).to_bytes(4, "little"))
+    for dpu in rank.dpus:
+        dpu.dirty_log = []
+    with pytest.raises(Exception) as info:
+        launch_rank(rank)
+    return rank, registry, info.value
+
+
+def test_vectorized_results_match_generators():
+    program = FlagFaultProgram()
+    vec, gen = make_dpu(program), make_dpu(program)
+    vec.dirty_log, gen.dirty_log = [], []
+    with generator_only():
+        expected = run_program(program, gen)
+    assert run_program(program, vec) == expected
+    assert vec.dirty_log == gen.dirty_log
+    assert vec.mram.read(0, 32).tobytes() == gen.mram.read(0, 32).tobytes()
+
+
+def test_vectorized_failure_falls_back_to_generator_outcome():
+    faulty = 2
+    rank, registry, error = _launch_flagged(faulty)
+    with generator_only():
+        oracle, oracle_registry, oracle_error = _launch_flagged(faulty)
+    assert type(error) is type(oracle_error) is DpuFaultError
+    assert str(error) == str(oracle_error) == "tasklet 0 hit the fault flag"
+    assert [dpu.state for dpu in rank.dpus] == [
+        DpuState.DONE, DpuState.DONE, DpuState.FAULT, DpuState.IDLE]
+    # The staged stores of the declined form were never committed.
+    bad = rank.dpu(faulty)
+    assert bad.mram.is_zero() and bad.dirty_log == []
+    assert bad.read_symbol("flag", 0, 4) == (1).to_bytes(4, "little")
+    assert rank.dpu(0).mram.read(0, 32).view(np.int64).tolist() == [1, 2, 3, 4]
+    for dpu, twin in zip(rank.dpus, oracle.dpus):
+        assert dpu.state is twin.state
+        assert dpu.dirty_log == twin.dirty_log
+        assert dpu.mram.read(0, 32).tobytes() == twin.mram.read(0, 32).tobytes()
+        assert dpu.symbols == twin.symbols
+    assert [dpu.faults for dpu in rank.dpus] == [0, 0, 1, 0]
+    assert registry.value("repro_dpu_faults_total", rank=0) == 1
+    assert oracle_registry.value("repro_dpu_faults_total", rank=0) == 1
