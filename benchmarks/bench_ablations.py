@@ -30,7 +30,8 @@ from repro.sdk.transfer import uniform_write
 from repro.virt.backend import VUpmemBackend
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.opts import OptimizationConfig
-from repro.virt.serialization import RequestHeader, RequestKind, serialize_matrix
+from repro.virt.plans import compile_plan
+from repro.virt.serialization import RequestHeader, RequestKind
 
 
 def run_red(prefetch: bool):
@@ -135,8 +136,10 @@ def bench_translation_thread_saturation(once):
                                     DEFAULT_COST_MODEL,
                                     translation_threads=threads)
             backend.link_rank(0)
-            chain = serialize_matrix(header, matrix, memory).chain
-            out.append((threads, backend.process(chain).steps["Deser"]))
+            plan = compile_plan(None, header, matrix, memory, None, None,
+                                batched=False)
+            result = backend.process(plan.sreq.chain, plan=plan)
+            out.append((threads, result.steps["Deser"]))
             backend.unlink()
         return out
 

@@ -12,7 +12,7 @@ first-class artifact: ``BENCH_WALLCLOCK.json`` at the repository root.
 Three measurement groups:
 
 - **micro** — the hot data-plane paths in isolation: the byte
-  interleaving codec, wire-format serialize/deserialize/gather, the
+  interleaving codec, the wire-format plan compile/decode, the
   backend small-request dispatch storm, and raw ``MemoryRegion`` block
   traffic (the substrate every layer copies through);
 - **suite** — the 16 PrIM applications end-to-end through a vPIM VM
@@ -48,7 +48,8 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
+from unittest import mock
 
 import numpy as np
 
@@ -67,13 +68,11 @@ from repro.hardware.memory import MemoryRegion  # noqa: E402
 from repro.sdk.runtime import generator_only  # noqa: E402
 from repro.sdk.transfer import uniform_write  # noqa: E402
 from repro.virt.guest_memory import GuestMemory  # noqa: E402
-from repro.virt.opts import OptimizationConfig  # noqa: E402
+from repro.virt.plans import compile_plan  # noqa: E402
 from repro.virt.serialization import (  # noqa: E402
     RequestHeader,
     RequestKind,
     deserialize_request,
-    gather_entry_data,
-    serialize_matrix,
 )
 
 DEFAULT_ARTIFACT = REPO_ROOT / "BENCH_WALLCLOCK.json"
@@ -137,10 +136,11 @@ def micro_serialize(quick: bool) -> Dict[str, float]:
     memory = GuestMemory(512 << 20)
 
     def roundtrip():
-        sreq = serialize_matrix(header, matrix, memory)
-        _, entries, _ = deserialize_request(sreq.chain, memory)
-        for entry in entries:
-            gather_entry_data(entry, memory)
+        # A transient compile (rolling-arena pages, never cached) and a
+        # full decode of the chain it emits.
+        plan = compile_plan(None, header, matrix, memory, None, None,
+                            batched=False)
+        deserialize_request(plan.sreq.chain, memory)
 
     secs = _best_of(roundtrip, 5)
     total = per_dpu * nr_dpus
@@ -199,8 +199,8 @@ MICROS: Dict[str, Callable[[bool], Dict[str, float]]] = {
 
 # -- the PrIM suite -----------------------------------------------------------
 
-def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
-              opts: Optional[OptimizationConfig] = None) -> Dict[str, dict]:
+def run_suite(quick: bool, nr_dpus: int = 64,
+              repeats: int = 2) -> Dict[str, dict]:
     """Run the 16 PrIM apps end-to-end through a vPIM VM session.
 
     ``quick`` selects the CI-sized "test" workload profile; the full run
@@ -228,7 +228,7 @@ def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
     nr_reps = max(1, repeats)
     for name in SUITE_APPS:
         vpim = VPim(machine_for_dpus(nr_dpus))
-        session = vpim.vm_session(nr_vupmem=1, opts=opts)
+        session = vpim.vm_session(nr_vupmem=1)
         device = session.vm.devices[0]
         first = None
         best_wall = float("inf")
@@ -274,11 +274,9 @@ def run_suite(quick: bool, nr_dpus: int = 64, repeats: int = 2,
         plans = device.frontend.plans
         results[name] = dict(
             first, wall_s=best_wall, nr_reps=nr_reps, rep_totals=rep_totals,
-            plan_cache=(
-                None if plans is None else
-                {"hits": plans.hits, "misses": plans.misses,
-                 "evictions": plans.evictions,
-                 "invalidations": plans.invalidations}))
+            plan_cache={"hits": plans.hits, "misses": plans.misses,
+                        "evictions": plans.evictions,
+                        "invalidations": plans.invalidations})
     return {name: results[name] for name in SUITE_APPS}
 
 
@@ -376,9 +374,11 @@ def measure(quick: bool, repeats: int = 2, ablate_plans: bool = False,
     }
     if ablate_plans:
         # A replayed plan may not shift any repetition's modeled total
-        # relative to the naive path.
-        off = run_suite(quick, repeats=repeats,
-                        opts=OptimizationConfig(plans=False))
+        # relative to a transient plan compiled for every request (the
+        # plan key patched to ``None`` in-process: the cache keeps
+        # nothing).
+        with mock.patch("repro.virt.frontend.plan_key", lambda *args: None):
+            off = run_suite(quick, repeats=repeats)
         report["plans_ablation"] = ablation_row(off, suite,
                                                 report["modeled_digest"])
     if ablate_vector_kernels:
@@ -521,7 +521,8 @@ def main(argv: List[str] | None = None) -> int:
                         help="wall-time repetitions per app, best kept "
                              "(default 2)")
     parser.add_argument("--ablate-plans", action="store_true",
-                        help="also run the suite with the plan cache off "
+                        help="also run the suite with a plan cache that "
+                             "keeps nothing (a transient plan per request) "
                              "and record the speedup + digest comparison")
     parser.add_argument("--ablate-vector-kernels", action="store_true",
                         help="also run the suite with the tasklet-vectorized "

@@ -139,6 +139,8 @@ class BinarySearch(HostApplication):
                 dpus.launch()
             with profiler.segment("DPU-CPU"):
                 per_dpu = dpus.push_from_mram(r_off, nq * 8)
-        # Each query hits in exactly one DPU's slice: combine by max.
-        stacked = np.stack([buf.view(np.int64) for buf in per_dpu])
+        # Each query hits in exactly one DPU's slice: combine by max over
+        # the DPUs that searched one (an empty slice writes no results).
+        stacked = np.stack([buf.view(np.int64)
+                            for buf, count in zip(per_dpu, counts) if count])
         return stacked.max(axis=0)

@@ -290,7 +290,7 @@ class Rank:
         Materializes (and zeroes) the destination segments exactly as
         :meth:`write_mram` would, then returns paired destination/source
         views.  Raises :class:`MemoryAccessError`/:class:`TransferError`
-        on anything unpinnable; callers fall back to the naive path.
+        on anything unpinnable; callers fall back to an ordinary write.
         """
         total = 0
         copies: List[Tuple[np.ndarray, np.ndarray]] = []

@@ -2,12 +2,17 @@
 
 For each request popped from the transferq the backend:
 
-1. deserializes the transfer matrix from the descriptor chain;
+1. takes the transfer matrix of a data request from its compiled
+   :class:`~repro.virt.plans.TransferPlan` (control requests are decoded
+   from the chain's header);
 2. translates the page GPAs to HVAs (8 translation threads);
 3. accesses the guest pages directly — zero copy — and performs the
    operation on the physical rank through a performance-mode mapping;
 4. for reads, deposits results straight into the guest's destination
    pages; finally the VMM injects the completion IRQ.
+
+The modeled deserialization and translation time is charged in full
+for every request, whatever the plan's lifetime.
 
 The data path (byte interleaving + memcpy) runs either the C/AVX-512
 flavour or the Rust/AVX2 flavour ~3.43x slower, per the optimization
@@ -39,8 +44,6 @@ from repro.virt.serialization import (
     SerializedEntry,
     SkipExtent,
     deserialize_request,
-    gather_entry_data,
-    scatter_entry_data,
 )
 from repro.virt.transfer_cache import ExtentDigestIndex
 from repro.virt.virtio import Descriptor
@@ -167,12 +170,13 @@ class VUpmemBackend:
                 plan=None) -> BackendResult:
         """Handle one transferq request; returns timing and any payload.
 
-        ``plan`` (a :class:`~repro.virt.plans.TransferPlan`, frontend
-        side-channel for the shape it just replayed) skips the chain
-        deserialization: the plan's entries/skips are the wire content
-        by construction, and its payload views alias the guest pages the
-        chain references.  Purely wall-clock — the modeled deserialize
-        time is still charged in full.
+        A data request (WRITE_RANK/READ_RANK) is taken only from its
+        ``plan`` (a :class:`~repro.virt.plans.TransferPlan`, the frontend
+        side-channel for the chain it compiled): the plan's entries and
+        skips are the wire content by construction, and its payload
+        views alias the guest pages the chain references.  A data chain
+        without a plan is rejected; control requests are decoded from
+        the chain.
         """
         if self.fault_hook is not None:
             try:
@@ -185,6 +189,10 @@ class VUpmemBackend:
             header, entries, skips = plan.header, plan.entries, plan.skips
         else:
             header, entries, skips = deserialize_request(chain, self.memory)
+            if header.kind in (RequestKind.WRITE_RANK, RequestKind.READ_RANK):
+                raise SerializationError(
+                    f"{header.kind.name} request arrived without a "
+                    "compiled plan")
         # Rank bound at arrival time (RELEASE unlinks while handling).
         rank = str(self.mapping.rank_index) if self.mapping else "none"
         span = self.spans.begin("backend.request", "backend",
@@ -257,26 +265,23 @@ class VUpmemBackend:
                     f"{header.symbol!r}, offset {header.offset}, size "
                     f"{skip.size}) is not resident on the backend")
 
-        if (plan is None
-                or plan.translation_generation != self.translation_generation):
+        if plan.translation_generation != self.translation_generation:
             # Bounds-check every entry's page run before any byte moves.
-            # A plan validated at the current generation replays frozen
-            # reservations, so its replays skip the walk.
+            # A cached plan validated at the current generation replays
+            # frozen reservations, so its replays skip the walk; a
+            # transient plan is checked on every request.
             for entry in entries:
                 self.memory.translate_pages(entry.page_gpas)
-            if plan is not None:
+            if not plan.transient:
                 plan.translation_generation = self.translation_generation
 
-        # Non-batched writes rebuild the matrix up front so the payload
-        # bytes are available for broadcast detection.  A plan already
-        # holds a matrix whose payloads alias the (just-refreshed) guest
-        # views, so the gather disappears entirely.
-        matrix = None
-        broadcast = False
-        if kind is RequestKind.WRITE_RANK and batch_records is None:
-            matrix = (plan.matrix if plan is not None else
-                      self._rebuild_matrix(header, entries, XferKind.TO_DPU))
-            broadcast = self.cache_enabled and _is_broadcast(matrix)
+        # The plan's matrix payloads alias the (just-written) guest
+        # views, so writes need no gather; non-batched writes expose
+        # them for broadcast detection.
+        matrix = plan.matrix
+        broadcast = (self.cache_enabled and batch_records is None
+                     and kind is RequestKind.WRITE_RANK
+                     and _is_broadcast(matrix))
 
         total_pages = sum(e.page_gpas.size for e in entries)
         # Broadcast-identical payloads (the all-DPUs-same-buffer PrIM
@@ -310,8 +315,7 @@ class VUpmemBackend:
             if batch_records is not None:
                 tdata = self._replay_batch(mapping, header, batch_records)
             else:
-                pinned = (self._pinned_write_for(plan, mapping)
-                          if plan is not None else None)
+                pinned = self._pinned_write_for(plan, mapping)
                 if pinned is not None:
                     tdata = mapping.write_pinned(
                         pinned, rust_interleave=self.rust_data_path)
@@ -325,25 +329,18 @@ class VUpmemBackend:
                                 entry.dpu_index, header.symbol,
                                 header.offset, entry.size, entry.digest)
         elif kind is RequestKind.READ_RANK:
-            if plan is None:
-                buffers, tdata = mapping.read(
-                    self._rebuild_matrix(header, entries, XferKind.FROM_DPU),
-                    rust_interleave=self.rust_data_path)
-                for entry, buf in zip(entries, buffers):
-                    scatter_entry_data(entry, buf, self.memory)
-            elif plan.direct_read:
+            if plan.read_views is not None:
                 # MRAM reads deposit straight into the pinned guest
                 # destinations.
                 buffers, tdata = mapping.read(
-                    plan.matrix, rust_interleave=self.rust_data_path,
+                    matrix, rust_interleave=self.rust_data_path,
                     into=plan.read_views)
             else:
-                # WRAM symbol reads return fresh buffers that one slice
-                # copy lands in place.
+                # WRAM symbol reads and runs crossing extents return
+                # fresh buffers that slice copies land in place.
                 buffers, tdata = mapping.read(
-                    plan.matrix, rust_interleave=self.rust_data_path)
-                for view, buf in zip(plan.read_views, buffers):
-                    view[...] = buf
+                    matrix, rust_interleave=self.rust_data_path)
+                plan.deposit(buffers)
             payload = len(buffers)
         else:
             raise SerializationError(
@@ -372,6 +369,7 @@ class VUpmemBackend:
     def _pinned_write_for(self, plan, mapping: PerfModeMapping):
         """The plan's resolved MRAM destination pairing, or ``None``.
 
+        Only cached plans are pinned (a transient plan is used once).
         Pinning needs a stable rank binding, so only a plain
         :class:`~repro.driver.driver.PerfModeMapping` qualifies (paged
         mappings re-resolve their frame per operation).  The cached
@@ -380,7 +378,7 @@ class VUpmemBackend:
         recycles extents); anything stale is re-resolved in place.
         """
         matrix = plan.matrix
-        if (matrix is None or matrix.target is not Target.MRAM
+        if (plan.transient or matrix.target is not Target.MRAM
                 or type(mapping) is not PerfModeMapping):
             return None
         pinned = plan.pinned_write
@@ -397,21 +395,6 @@ class VUpmemBackend:
             # back to the ordinary write, which surfaces the real error.
             return None
         return plan.pinned_write
-
-    def _rebuild_matrix(self, header: RequestHeader,
-                        entries: List[SerializedEntry],
-                        kind: XferKind) -> TransferMatrix:
-        """Rebuild the transfer matrix, gathering write payloads from the
-        guest pages."""
-        dpu_entries = [
-            DpuEntry(dpu_index=entry.dpu_index, size=entry.size,
-                     data=(gather_entry_data(entry, self.memory)
-                           if kind is XferKind.TO_DPU else None))
-            for entry in entries]
-        matrix = TransferMatrix(kind, header.symbol, header.offset,
-                                dpu_entries)
-        matrix.validate()
-        return matrix
 
     def _launch_collecting_dirty(self, mapping: PerfModeMapping,
                                  ) -> BackendResult:

@@ -44,6 +44,7 @@ from repro.virt.mmio import MmioWindow, Reg, driver_init_sequence
 from repro.virt.plans import (
     PlanCache,
     PlanUnsupported,
+    TransferPlan,
     compile_plan,
     plan_key,
 )
@@ -52,7 +53,6 @@ from repro.virt.serialization import (
     RequestKind,
     SerializedRequest,
     SkipExtent,
-    serialize_matrix,
 )
 from repro.virt.transfer_cache import ExtentDigestIndex, content_digest
 from repro.virt.virtio import UsedElement, VirtioPimQueues, write_buffer
@@ -172,10 +172,9 @@ class VUpmemFrontend:
             ExtentDigestIndex() if opts.cache else None)
         #: Shape-specialized plan cache (``docs/performance.md``): wire
         #: layouts compiled once per transfer shape and replayed on each
-        #: repetition.  Wall-clock only — bit-identical modeled time —
-        #: so it defaults on; ``Optimization(plans=False)`` ablates it.
-        self.plans: Optional[PlanCache] = (
-            PlanCache(memory) if opts.plans else None)
+        #: repetition.  Wall-clock only — bit-identical modeled time;
+        #: shapes it does not keep get transient plans.
+        self.plans = PlanCache(memory)
         #: Adaptive digest bypass (``docs/transfer_cache.md``): once the
         #: observed suppression rate over at least
         #: ``opts.cache_bypass_min_probes`` probes stays below
@@ -301,8 +300,9 @@ class VUpmemFrontend:
         sreq: Optional[SerializedRequest] = None
         plan = None
         if matrix is not None:
-            sreq, plan = self._plan_or_serialize(
-                header, matrix, digests, skips, batch_records is not None)
+            plan = self._plan(header, matrix, digests, skips,
+                              batch_records is not None)
+            sreq = plan.sreq
             pages = sreq.total_pages + extra_pages
             page_time = pages * self.cost.page_mgmt_per_page
             ser_time = pages * self.cost.serialize_per_page
@@ -392,58 +392,51 @@ class VUpmemFrontend:
 
     # -- shape-specialized plans (``docs/performance.md``) -------------------
 
-    def _plan_or_serialize(self, header: RequestHeader,
-                           matrix: TransferMatrix,
-                           digests: Optional[Dict[int, int]],
-                           skips: Optional[List[SkipExtent]],
-                           batched: bool,
-                           ) -> Tuple[SerializedRequest, Optional[object]]:
-        """Serialize via the plan cache when possible.
+    def _plan(self, header: RequestHeader, matrix: TransferMatrix,
+              digests: Optional[Dict[int, int]],
+              skips: Optional[List[SkipExtent]],
+              batched: bool) -> TransferPlan:
+        """The plan carrying one data request.
 
-        Returns ``(sreq, plan)`` — ``plan`` is ``None`` whenever the
-        naive serializer ran (plans off, unplannable shape, compile
-        refusal), in which case the backend deserializes from the wire
-        exactly as before.
+        A cached plan is replayed, or compiled and cached on a miss.
+        Shapes the cache does not keep — no key, or a key whose compile
+        was refused — get a transient plan, compiled for this request
+        only.
         """
         plans = self.plans
-        if plans is None:
-            return serialize_matrix(header, matrix, self.memory,
-                                    digests=digests, skips=skips), None
         key = plan_key(header, matrix, digests, skips, batched)
-        if key is None or key in plans.unplannable:
-            return serialize_matrix(header, matrix, self.memory,
-                                    digests=digests, skips=skips), None
-        plan = plans.get(key)
-        if plan is not None and not plan.valid(self.memory):
-            plans.drop(key)
-            self.obs.plan_invalidation("stale", 1)
-            plan = None
-        if plan is not None:
-            plans.hits += 1
-            self.obs.plan_hit()
-            return plan.replay(matrix, digests, skips), plan
-        plans.misses += 1
-        self.obs.plan_miss()
-        try:
-            plan = compile_plan(key, header, matrix, self.memory,
-                                digests, skips, batched)
-        except PlanUnsupported:
-            plans.unplannable.add(key)
-            return serialize_matrix(header, matrix, self.memory,
-                                    digests=digests, skips=skips), None
-        evicted = plans.insert(key, plan)
-        if evicted:
-            self.obs.plan_eviction(evicted)
-        self.spans.event("plan.compile", "frontend", 0.0,
-                         kind=header.kind.name.lower(),
-                         entries=len(matrix.entries),
-                         pages=plan.sreq.total_pages)
-        return plan.sreq, plan
+        if key is not None and key not in plans.unplannable:
+            plan = plans.get(key)
+            if plan is not None and not plan.valid(self.memory):
+                plans.drop(key)
+                self.obs.plan_invalidation("stale", 1)
+                plan = None
+            if plan is not None:
+                plans.hits += 1
+                self.obs.plan_hit()
+                plan.replay(matrix, digests, skips)
+                return plan
+            plans.misses += 1
+            self.obs.plan_miss()
+            try:
+                plan = compile_plan(key, header, matrix, self.memory,
+                                    digests, skips, batched)
+            except PlanUnsupported:
+                plans.unplannable.add(key)
+            else:
+                evicted = plans.insert(key, plan)
+                if evicted:
+                    self.obs.plan_eviction(evicted)
+                self.spans.event("plan.compile", "frontend", 0.0,
+                                 kind=header.kind.name.lower(),
+                                 entries=len(matrix.entries),
+                                 pages=plan.sreq.total_pages)
+                return plan
+        return compile_plan(None, header, matrix, self.memory, digests,
+                            skips, batched)
 
     def _invalidate_plans(self, reason: str) -> None:
         """Drop every compiled plan, counting the drops by ``reason``."""
-        if self.plans is None:
-            return
         dropped = self.plans.invalidate_all()
         if dropped:
             self.obs.plan_invalidation(reason, dropped)

@@ -9,7 +9,7 @@ copying (Section 4.2 "Zero-copy Request Handling").
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class GuestMemory:
         fit inside one backing extent are aligned so they never straddle
         an extent boundary (keeping the payload pinnable as one view).
         At most half of the arena may be reserved; beyond that the plan
-        cache falls back to the naive path.
+        cache serves the shape with transient plans.
         """
         need = nr_pages * PAGE_SIZE
         free = self._free_reservations.get(need)
@@ -99,6 +99,12 @@ class GuestMemory:
         """Writable view of guest bytes (see :meth:`MemoryRegion.pin_span`)."""
         return self.region.pin_span(gpa, length)
 
+    def pin_chunks(self, gpa: int, length: int) -> List[np.ndarray]:
+        """Writable per-extent views of guest bytes: one view when the run
+        fits one backing extent (an empty one when ``length`` is 0)."""
+        return (self.region.pin_chunks(gpa, length)
+                or [self.region.pin_span(gpa, 0)])
+
     # -- data access ------------------------------------------------------------
 
     def write(self, gpa: int, data: np.ndarray) -> None:
@@ -106,40 +112,6 @@ class GuestMemory:
 
     def read(self, gpa: int, length: int) -> np.ndarray:
         return self.region.read(gpa, length)
-
-    def read_into(self, gpa: int, out: np.ndarray) -> np.ndarray:
-        """Allocation-free read into a caller-provided uint8 buffer."""
-        return self.region.read_into(gpa, out)
-
-    def gather_pages(self, gpas: np.ndarray, nbytes: int,
-                     out: np.ndarray) -> np.ndarray:
-        """Gather ``nbytes`` spread over the pages in ``gpas`` into ``out``.
-
-        One bulk :meth:`MemoryRegion.read_into` per contiguous page run
-        instead of a per-page Python loop — the simulator-level analogue
-        of the batched scatter-gather the real backend performs on the
-        translated HVA list (Section 4.2).  The tail page may be partial
-        (``nbytes`` need not be page-aligned).
-        """
-        pos = 0
-        for start_gpa, nr_pages in self.contiguous_runs(gpas):
-            if pos >= nbytes:
-                break
-            span = min(nr_pages * PAGE_SIZE, nbytes - pos)
-            self.region.read_into(start_gpa, out[pos:pos + span])
-            pos += span
-        return out
-
-    def scatter_pages(self, gpas: np.ndarray, data: np.ndarray) -> None:
-        """Inverse of :meth:`gather_pages`: spread ``data`` over the pages."""
-        pos = 0
-        nbytes = data.size
-        for start_gpa, nr_pages in self.contiguous_runs(gpas):
-            if pos >= nbytes:
-                break
-            span = min(nr_pages * PAGE_SIZE, nbytes - pos)
-            self.region.write(start_gpa, data[pos:pos + span])
-            pos += span
 
     # -- translation ---------------------------------------------------------------
 
@@ -166,27 +138,3 @@ class GuestMemory:
                 f"GPA {bad:#x} outside guest memory of {self.size} bytes"
             )
         return arr + np.uint64(HVA_BASE)
-
-    # -- contiguity helper ---------------------------------------------------------
-
-    @staticmethod
-    def contiguous_runs(gpas: np.ndarray) -> List[Tuple[int, int]]:
-        """Split a page-GPA array into (start_gpa, nr_pages) contiguous runs.
-
-        The backend uses this to gather page data with bulk copies instead
-        of page-by-page loops — the simulator-level analogue of the
-        scatter-gather the real backend performs.
-        """
-        arr = np.asarray(gpas, dtype=np.uint64)
-        if arr.size == 0:
-            return []
-        if arr.size == 1:
-            return [(int(arr[0]), 1)]
-        breaks = np.nonzero(np.diff(arr) != PAGE_SIZE)[0] + 1
-        if breaks.size == 0:
-            # Common case: the bump allocator hands out one contiguous run.
-            return [(int(arr[0]), arr.size)]
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [arr.size]))
-        run_gpas = arr[starts]
-        return [(int(g), int(n)) for g, n in zip(run_gpas, ends - starts)]

@@ -1,31 +1,35 @@
-"""Shape-specialized transfer plans: compile once, replay per repetition.
+"""Compiled transfer plans: the one serializer of the data plane.
 
-PrIM workloads run ``nr_reps`` repetitions of *identically shaped*
-transfers, yet the naive data plane re-derives the wire layout, page
-allocations, GPA run lists, and gather/scatter segmentation from scratch
-on every request.  A :class:`TransferPlan` captures everything
-shape-derived and content-independent the first time a
-``(direction, symbol, offset, entry shapes)`` tuple is seen:
+Every data request (WRITE_RANK/READ_RANK) reaches the backend as a
+:class:`TransferPlan`.  :func:`compile_plan` builds the wire chain of
+Figs. 6-7 (header, matrix-meta, per-entry meta and page buffers), pins
+writable views over each entry's payload pages, and keeps a
+:class:`~repro.sdk.transfer.TransferMatrix` whose write payloads alias
+those views, so the backend consumes guest pages with no gather and
+deposits MRAM reads with no scatter.
 
-- the serialized descriptor chain (header, matrix-meta, per-entry meta
-  and page buffers), placed in *reserved* guest pages
+Plans come in two lifetimes:
+
+- **cached** plans, keyed by ``(direction, symbol, offset, entry
+  shapes)``, live in *reserved* guest pages
   (:meth:`GuestMemory.reserve_pages`) that the rolling DMA arena never
-  recycles, with writable views pinned over every buffer;
-- a cached :class:`~repro.sdk.transfer.TransferMatrix` whose write
-  payloads alias the pinned guest views — a replay refreshes content
-  with one slice copy per entry and the backend consumes it with no
-  gather;
-- for reads, the pinned destination views the backend deposits into
-  directly (no scatter);
-- a slot for the backend's resolved MRAM destination pairing
-  (:class:`~repro.hardware.rank.PinnedMramWrite`) and the backend's
-  translation generation, so replays skip the per-entry bounds walk.
+  recycles.  PrIM workloads run ``nr_reps`` repetitions of identically
+  shaped transfers, so a :class:`PlanCache` hit replays the plan: one
+  slice copy per entry refreshes the payload, and the backend's resolved
+  MRAM destination pairing (:class:`~repro.hardware.rank.PinnedMramWrite`)
+  and translation generation let it skip the per-entry bounds walk;
+- **transient** plans (``key=None``) serve every shape the cache cannot
+  or does not keep: unkeyable requests, shapes whose reservation failed
+  (the half-arena cap), and entries larger than one backing extent.
+  The same compiler draws their pages from the rolling arena
+  (:meth:`GuestMemory.alloc_pages`); they are never cached, never pinned
+  for MRAM writes, and the backend bounds-checks their page runs on
+  every request.
 
-Plans change **wall-clock time only**: every modeled duration, metric
-that feeds the wall-clock digest, guest-visible byte, and DPU-visible
-byte is bit-identical to the naive path.  Shapes the compiler cannot
-pin (entries larger than one backing extent, arena exhaustion) are
-marked unplannable and permanently served by the naive path.
+Plans change **wall-clock time only**: every modeled duration and every
+guest- and DPU-visible byte follows from the wire content, which is the
+same for both lifetimes.  ``deserialize_request`` decodes any compiled
+chain back to the plan's header, entries and skips.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.config import PAGE_SIZE
-from repro.errors import MemoryAccessError, TransferError, TranslationError
+from repro.errors import SerializationError, TranslationError
 from repro.sdk.transfer import DpuEntry, Target, TransferMatrix, XferKind
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import (
@@ -50,7 +54,7 @@ from repro.virt.serialization import (
     entry_meta_words,
     matrix_meta_words,
 )
-from repro.virt.virtio import Descriptor
+from repro.virt.virtio import Descriptor, write_buffer
 
 __all__ = [
     "PlanCache", "PlanUnsupported", "TransferPlan", "compile_plan",
@@ -66,8 +70,9 @@ _SKIP_WORDS = 3
 
 
 class PlanUnsupported(Exception):
-    """The shape cannot be compiled; the caller falls back to the naive
-    serializer (and remembers the key so it never tries again)."""
+    """The shape cannot be cached (its reservation failed, or an entry
+    spans backing extents); the caller serves it with transient plans
+    and remembers the key so it never tries again."""
 
 
 def plan_key(header: RequestHeader, matrix: TransferMatrix,
@@ -95,18 +100,23 @@ def plan_key(header: RequestHeader, matrix: TransferMatrix,
 
 @dataclass
 class TransferPlan:
-    """One compiled shape: stable chain + pinned views + replay patches."""
+    """One compiled data request: stable chain + pinned views + replay
+    patches (cached plans) or a one-shot chain (transient plans)."""
 
-    key: Tuple
+    #: Cache key; ``None`` marks a transient plan.
+    key: Optional[Tuple]
     header: RequestHeader
     sreq: SerializedRequest
     entries: List[SerializedEntry]
     skips: List[SkipExtent]
-    #: Cached matrix whose TO_DPU payloads alias ``payload_views``
-    #: (``None`` for batched flushes — the backend replays the records).
+    #: Matrix the backend applies, addressed by the wire header; its
+    #: TO_DPU payloads alias the pinned views (``None`` for batched
+    #: flushes — the backend replays the records).
     matrix: Optional[TransferMatrix]
-    #: Pinned guest views over each entry's payload pages.
-    payload_views: List[np.ndarray]
+    #: Pinned guest views over each entry's payload pages: one view per
+    #: entry, or per-extent chunks for a run that crosses a backing
+    #: extent boundary (transient plans only: reservations are aligned).
+    payload_views: List[List[np.ndarray]]
     #: u64 views over each entry-meta buffer (digest patched per replay).
     entry_meta_views: List[np.ndarray]
     #: u64 view over the matrix-meta buffer (skip digests patched).
@@ -116,23 +126,24 @@ class TransferPlan:
     guest_generation: int
     cache_format: bool
     batched: bool
-    #: MRAM reads deposit straight into ``payload_views`` via ``into=``;
-    #: WRAM reads return fresh buffers that replay copies over.
-    direct_read: bool
+    #: MRAM reads deposit straight into these views via ``into=``
+    #: (``None``: WRAM reads and chunked entries get fresh buffers that
+    #: :meth:`deposit` copies over the payload views).
+    read_views: Optional[List[np.ndarray]]
     #: Backend translation generation at which this plan's page runs
-    #: were last bounds-checked.
+    #: were last bounds-checked (cached plans only).
     translation_generation: int = -1
     #: Backend-resolved destination pairing for MRAM writes.
     pinned_write: object = None
     replays: int = field(default=0)
 
+    @property
+    def transient(self) -> bool:
+        return self.key is None
+
     def valid(self, memory: GuestMemory) -> bool:
         """Pinned views survive only as long as the guest backing store."""
         return self.guest_generation == memory.region.generation
-
-    @property
-    def read_views(self) -> List[np.ndarray]:
-        return self.payload_views
 
     def replay(self, matrix: TransferMatrix,
                digests: Optional[Dict[int, int]],
@@ -148,7 +159,7 @@ class TransferPlan:
         if self.matrix is not None and matrix.kind is XferKind.TO_DPU:
             # The cached matrix's entries alias these views, so one slice
             # copy per entry refreshes both the wire and the matrix.
-            for view, live in zip(self.payload_views, matrix.entries):
+            for (view,), live in zip(self.payload_views, matrix.entries):
                 if live.data is not view:
                     view[...] = live.data
         if self.cache_format:
@@ -164,58 +175,112 @@ class TransferPlan:
                 meta[_SKIP_BASE_WORD + _SKIP_WORDS * s + 2] = skip.digest
         return self.sreq
 
+    def deposit(self, buffers: List[np.ndarray]) -> None:
+        """Copy read results over the guest destination views."""
+        for entry, views, buf in zip(self.entries, self.payload_views,
+                                     buffers):
+            if buf.size != entry.size:
+                raise SerializationError(
+                    f"result of {buf.size} bytes does not match entry "
+                    f"size {entry.size}")
+            _copy_over(views, buf)
+
     def release(self, memory: GuestMemory) -> None:
         for gpa, nr_pages in self.reservations:
             memory.release_reservation(gpa, nr_pages)
         self.reservations = []
 
 
-def _pin_wire_buffer(memory: GuestMemory, data: np.ndarray,
-                     reservations: List[Tuple[int, int]],
-                     device_writable: bool = False,
-                     ) -> Tuple[np.ndarray, Descriptor]:
-    """Reserve + pin + fill one wire buffer; mirrors
-    :func:`repro.virt.virtio.write_buffer` byte-for-byte."""
-    u8 = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    nr_pages = max(1, (u8.size + PAGE_SIZE - 1) // PAGE_SIZE)
+def _copy_over(views: List[np.ndarray], data: np.ndarray) -> None:
+    pos = 0
+    for view in views:
+        view[...] = data[pos:pos + view.size]
+        pos += view.size
+
+
+def _check_disjoint(chain: List[Descriptor],
+                    data_descriptors: List[Tuple[int, int, int]]) -> None:
+    """Refuse a transient request whose buffers overlap: one larger than
+    the rolling arena wraps onto its own earlier buffers."""
+    runs = sorted([(desc.gpa, desc.length) for desc in chain]
+                  + [(gpa, size) for _, size, gpa in data_descriptors])
+    end = 0
+    for gpa, length in runs:
+        if length and gpa < end:
+            total = sum(length for _, length in runs)
+            raise TranslationError(
+                f"request of {total} bytes wraps the DMA arena onto its "
+                "own buffers")
+        end = max(end, gpa + length)
+
+
+def _take_pages(memory: GuestMemory, nr_pages: int,
+                reservations: Optional[List[Tuple[int, int]]]) -> int:
+    """A page run: reserved for a cached plan, rolling for a transient one."""
+    if reservations is None:
+        return memory.alloc_pages(nr_pages)
     gpa = memory.reserve_pages(nr_pages)
     reservations.append((gpa, nr_pages))
+    return gpa
+
+
+def _wire_buffer(memory: GuestMemory, data: np.ndarray,
+                 reservations: Optional[List[Tuple[int, int]]],
+                 device_writable: bool = False,
+                 ) -> Tuple[Optional[np.ndarray], Descriptor]:
+    """Place one wire buffer; mirrors :func:`repro.virt.virtio.write_buffer`
+    byte-for-byte, pinning a view over reserved pages for cached plans."""
+    if reservations is None:
+        return None, write_buffer(memory, data, device_writable)
+    u8 = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+    gpa = _take_pages(memory, _entry_pages(u8.size), reservations)
     view = memory.pin_span(gpa, u8.size)
     view[...] = u8
     return view, Descriptor(gpa=gpa, length=u8.size,
                             device_writable=device_writable)
 
 
-def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
-                 memory: GuestMemory,
+def compile_plan(key: Optional[Tuple], header: RequestHeader,
+                 matrix: TransferMatrix, memory: GuestMemory,
                  digests: Optional[Dict[int, int]],
                  skips: Optional[List[SkipExtent]],
                  batched: bool) -> TransferPlan:
     """Compile ``matrix`` into a :class:`TransferPlan`.
 
-    Emits the exact chain :func:`~repro.virt.serialization.serialize_matrix`
-    would (same buffer contents, lengths, and writable flags — only the
-    GPAs differ, drawn from the reservation arena instead of the rolling
-    bump allocator).  Raises :class:`PlanUnsupported` when the shape
-    cannot be pinned; all partial reservations are released first.
+    ``key=None`` compiles a transient plan from the rolling arena;
+    otherwise the plan lives in reserved pages for the cache.  Both emit
+    the same chain (buffer contents, lengths and writable flags — only
+    the GPAs differ).  ``digests`` (per-DPU content digests of the kept
+    entries) and ``skips`` (suppressed extents) switch the chain to the
+    cache wire format; leaving both ``None`` emits the default format.
+
+    A bad matrix raises :class:`~repro.errors.TransferError`; a transient
+    request that does not fit the rolling arena (one run larger than it,
+    or buffers that wrap onto each other) raises
+    :class:`~repro.errors.TranslationError`.
+    Only a cached compile raises :class:`PlanUnsupported` — when its
+    reservation fails or an entry spans backing extents — after
+    releasing every partial reservation.
     """
+    matrix.validate()
     cache_format = digests is not None or skips is not None
-    reservations: List[Tuple[int, int]] = []
+    reservations: Optional[List[Tuple[int, int]]] = (
+        None if key is None else [])
     try:
-        matrix.validate()
         chain: List[Descriptor] = []
-        _, desc = _pin_wire_buffer(memory, header.pack(), reservations)
+        _, desc = _wire_buffer(memory, header.pack(), reservations)
         chain.append(desc)
-        meta_u8, desc = _pin_wire_buffer(
+        meta_u8, desc = _wire_buffer(
             memory, matrix_meta_words(matrix, skips, cache_format),
             reservations)
         chain.append(desc)
-        matrix_meta_view = meta_u8.view(np.uint64) if cache_format else None
+        matrix_meta_view = (meta_u8.view(np.uint64)
+                            if cache_format and meta_u8 is not None else None)
 
         total_pages = 0
         data_descriptors: List[Tuple[int, int, int]] = []
         entries: List[SerializedEntry] = []
-        payload_views: List[np.ndarray] = []
+        payload_views: List[List[np.ndarray]] = []
         entry_meta_views: List[np.ndarray] = []
         cached_entries: List[DpuEntry] = []
         writable = matrix.kind is XferKind.FROM_DPU
@@ -223,52 +288,60 @@ def compile_plan(key: Tuple, header: RequestHeader, matrix: TransferMatrix,
             nr_pages = _entry_pages(entry.size)
             total_pages += nr_pages
             digest = (digests or {}).get(entry.dpu_index, 0)
-            emeta_u8, desc = _pin_wire_buffer(
+            emeta_u8, desc = _wire_buffer(
                 memory,
                 entry_meta_words(entry.dpu_index, entry.size, nr_pages,
                                  digest, cache_format),
                 reservations)
             chain.append(desc)
-            if cache_format:
+            if cache_format and emeta_u8 is not None:
                 entry_meta_views.append(emeta_u8.view(np.uint64))
-            gpa = memory.reserve_pages(nr_pages)
-            reservations.append((gpa, nr_pages))
-            view = memory.pin_span(gpa, entry.size)
+            gpa = _take_pages(memory, nr_pages, reservations)
+            views = memory.pin_chunks(gpa, entry.size)
+            if len(views) > 1 and reservations is not None:
+                raise PlanUnsupported(
+                    f"entry of {entry.size} bytes spans backing extents")
+            data = None
             if matrix.kind is XferKind.TO_DPU:
-                view[...] = entry.data
-            payload_views.append(view)
+                _copy_over(views, entry.data)
+                data = views[0] if len(views) == 1 else np.concatenate(views)
+            payload_views.append(views)
             page_gpas = (np.arange(nr_pages, dtype=np.uint64) * PAGE_SIZE
                          + np.uint64(gpa))
-            _, desc = _pin_wire_buffer(memory, page_gpas, reservations,
-                                       device_writable=writable)
+            _, desc = _wire_buffer(memory, page_gpas, reservations,
+                                   device_writable=writable)
             chain.append(desc)
             data_descriptors.append((entry.dpu_index, entry.size, gpa))
             entries.append(SerializedEntry(
                 dpu_index=entry.dpu_index, size=entry.size,
                 page_gpas=page_gpas, digest=digest))
             cached_entries.append(DpuEntry(
-                dpu_index=entry.dpu_index, size=entry.size,
-                data=view if matrix.kind is XferKind.TO_DPU else None))
-    except (TranslationError, MemoryAccessError, TransferError) as exc:
-        for gpa, nr_pages in reservations:
+                dpu_index=entry.dpu_index, size=entry.size, data=data))
+    except BaseException as exc:
+        for gpa, nr_pages in reservations or ():
             memory.release_reservation(gpa, nr_pages)
-        raise PlanUnsupported(str(exc)) from exc
+        if reservations is not None and isinstance(exc, TranslationError):
+            raise PlanUnsupported(str(exc)) from exc
+        raise
 
-    cached_matrix = None
-    if not batched:
-        cached_matrix = TransferMatrix(matrix.kind, matrix.symbol,
-                                       matrix.offset, cached_entries)
+    if reservations is None:
+        _check_disjoint(chain, data_descriptors)
+    applied = TransferMatrix(matrix.kind, header.symbol, header.offset,
+                             cached_entries)
+    direct_read = (applied.target is Target.MRAM
+                   and all(len(views) == 1 for views in payload_views))
     sreq = SerializedRequest(header=header, chain=chain,
                              total_pages=total_pages,
                              data_descriptors=data_descriptors)
     return TransferPlan(
         key=key, header=header, sreq=sreq, entries=entries,
-        skips=list(skips or ()), matrix=cached_matrix,
+        skips=list(skips or ()), matrix=None if batched else applied,
         payload_views=payload_views, entry_meta_views=entry_meta_views,
-        matrix_meta_view=matrix_meta_view, reservations=reservations,
+        matrix_meta_view=matrix_meta_view, reservations=reservations or [],
         guest_generation=memory.region.generation,
         cache_format=cache_format, batched=batched,
-        direct_read=matrix.target is Target.MRAM,
+        read_views=([views[0] for views in payload_views]
+                    if direct_read else None),
     )
 
 
@@ -285,7 +358,7 @@ class PlanCache:
         self.memory = memory
         self.capacity = max(1, capacity)
         self._plans: "OrderedDict[Tuple, TransferPlan]" = OrderedDict()
-        #: Shapes the compiler refused — permanent naive fallback.
+        #: Shapes the compiler refused — served by transient plans.
         self.unplannable: Set[Tuple] = set()
         self.hits = 0
         self.misses = 0

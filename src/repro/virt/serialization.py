@@ -15,13 +15,19 @@ Layout in the virtqueue (Fig. 7)::
 
 which is at most 2 + 2*64 = 130 buffers for a full 64-DPU rank.
 
+This module defines the format; :func:`repro.virt.plans.compile_plan` is
+its only serializer, and :func:`deserialize_request` its decoder.  The
+backend decodes header-only (control) requests with it and takes data
+requests from their compiled plan; tests use it to prove that every
+compiled chain decodes to its plan.
+
 With the content-aware transfer cache enabled (``Optimization(cache=True)``,
 see ``docs/transfer_cache.md``) writes use an extended **cache format**:
 the matrix-meta buffer grows a tail of ``SKIP`` extents — unchanged
 slices the backend resolves from its resident-extent index instead of
 the wire — and each kept entry's metadata gains a fourth word, its
 64-bit content digest.  The default format is emitted bit-for-bit
-unchanged when the cache is off; the deserializer tells the two apart by
+unchanged when the cache is off; the decoder tells the two apart by
 the metadata buffer sizes alone, so old and new chains coexist.
 """
 
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from repro.config import PAGE_SIZE
 from repro.errors import SerializationError
 from repro.sdk.transfer import TransferMatrix, XferKind
 from repro.virt.guest_memory import GuestMemory
-from repro.virt.virtio import Descriptor, write_buffer
+from repro.virt.virtio import Descriptor
 
 
 class RequestKind(enum.IntEnum):
@@ -146,8 +152,7 @@ def _entry_pages(size: int) -> int:
 def matrix_meta_words(matrix: TransferMatrix,
                       skips: Optional[List[SkipExtent]],
                       cache_format: bool) -> np.ndarray:
-    """The matrix-meta buffer contents (u64), shared by the serializer
-    and the plan compiler so both emit the identical wire layout."""
+    """The matrix-meta buffer contents (u64) of the Fig. 7 layout."""
     head = [len(matrix.entries), matrix.offset,
             int(matrix.kind is XferKind.TO_DPU)]
     if cache_format:
@@ -166,57 +171,10 @@ def entry_meta_words(dpu_index: int, size: int, nr_pages: int, digest: int,
     return np.array(words, dtype=np.uint64)
 
 
-def serialize_matrix(header: RequestHeader, matrix: TransferMatrix,
-                     memory: GuestMemory,
-                     digests: Optional[Dict[int, int]] = None,
-                     skips: Optional[List[SkipExtent]] = None,
-                     ) -> SerializedRequest:
-    """Serialize ``matrix`` into guest memory and build the chain.
-
-    For writes, the payload is placed into guest pages and referenced by
-    GPA (zero-copy hand-off).  For reads, destination pages are allocated
-    so the backend can deposit results directly into guest memory.
-
-    ``digests`` (per-DPU content digests of the kept entries) and
-    ``skips`` (suppressed extents) switch the chain to the cache wire
-    format; leaving both ``None`` — the cache-off default — emits the
-    original format byte-for-byte.
-    """
-    cache_format = digests is not None or skips is not None
-    chain: List[Descriptor] = [write_buffer(memory, header.pack())]
-    matrix_meta = matrix_meta_words(matrix, skips, cache_format)
-    chain.append(write_buffer(memory, matrix_meta))
-
-    total_pages = 0
-    data_descriptors: List[Tuple[int, int, int]] = []
-    for entry in matrix.entries:
-        nr_pages = _entry_pages(entry.size)
-        total_pages += nr_pages
-        entry_meta = entry_meta_words(
-            entry.dpu_index, entry.size, nr_pages,
-            (digests or {}).get(entry.dpu_index, 0), cache_format)
-        chain.append(write_buffer(memory, entry_meta))
-        if matrix.kind is XferKind.TO_DPU:
-            gpa = memory.alloc_pages(nr_pages)
-            memory.write(gpa, entry.data)
-            writable = False
-        else:
-            gpa = memory.alloc_pages(nr_pages)
-            writable = True
-        page_gpas = (np.arange(nr_pages, dtype=np.uint64) * PAGE_SIZE
-                     + np.uint64(gpa))
-        chain.append(write_buffer(memory, page_gpas, device_writable=writable))
-        data_descriptors.append((entry.dpu_index, entry.size, gpa))
-
-    return SerializedRequest(header=header, chain=chain,
-                             total_pages=total_pages,
-                             data_descriptors=data_descriptors)
-
-
 def deserialize_request(chain: List[Descriptor], memory: GuestMemory,
                         ) -> Tuple[RequestHeader, List[SerializedEntry],
                                    List[SkipExtent]]:
-    """Backend side: rebuild header, entries and SKIP extents from a chain.
+    """Decode header, entries and SKIP extents from a chain.
 
     The third element is empty for the default wire format; only the
     cache format (``Optimization(cache=True)`` writes) can carry skips.
@@ -264,29 +222,6 @@ def deserialize_request(chain: List[Descriptor], memory: GuestMemory,
             digest=int(emeta[3]) if emeta.size >= 4 else 0,
         ))
     return header, entries, skips
-
-
-def gather_entry_data(entry: SerializedEntry,
-                      memory: GuestMemory) -> np.ndarray:
-    """Collect an entry's payload from guest pages (bulk per contiguous run).
-
-    Only the payload bytes are touched — the partial tail page is never
-    read past ``entry.size``.
-    """
-    out = np.empty(entry.size, dtype=np.uint8)
-    memory.gather_pages(entry.page_gpas, entry.size, out)
-    return out
-
-
-def scatter_entry_data(entry: SerializedEntry, data: np.ndarray,
-                       memory: GuestMemory) -> None:
-    """Deposit read results into the entry's guest destination pages."""
-    buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    if buf.size != entry.size:
-        raise SerializationError(
-            f"result of {buf.size} bytes does not match entry size {entry.size}"
-        )
-    memory.scatter_pages(entry.page_gpas, buf)
 
 
 def xfer_kind_of(kind: RequestKind) -> XferKind:

@@ -107,3 +107,11 @@ def test_bs_uneven_split():
     rep = native(BinarySearch(nr_dpus=7, n_elements=1000, n_queries=100),
                  dpus_per_rank=7)
     assert rep.verified
+
+
+def test_bs_more_dpus_than_elements():
+    # Half the DPUs get an empty slice and never write their results;
+    # their zeros must not win the host's max-combine over a miss (-1).
+    app = BinarySearch(nr_dpus=8, n_elements=4, n_queries=16, seed=3)
+    assert (app.expected() == -1).any()
+    assert native(app).verified

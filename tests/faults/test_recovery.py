@@ -1,5 +1,7 @@
 """Recovery paths: session reruns, quarantine/repair, failover, retries."""
 
+from unittest import mock
+
 import pytest
 
 from repro.apps.prim.va import VectorAdd
@@ -19,7 +21,6 @@ from repro.faults import (
 )
 from repro.hardware.rank import RankHealth
 from repro.virt.manager import RankState
-from repro.virt.opts import OptimizationConfig
 
 from tests.faults.conftest import arm_stack, schedule
 
@@ -59,15 +60,17 @@ class TestRunWithRecovery:
             "repro_fault_sessions_lost_total") == 1
 
     def test_clean_run_verifies_after_repeated_dpu_faults(self, chaos_vpim):
-        """Aborted sessions on the naive (plans-off) data path leave
-        nothing behind that breaks the next clean session."""
-        vpim, injector, session = arm_stack(
-            chaos_vpim, OptimizationConfig(plans=False))
-        for _ in range(3):
-            schedule(injector, 0.0, FaultKind.DPU_KERNEL_FAULT, "rank:*")
-            with pytest.raises(DpuFaultError):
-                session.run(VectorAdd(**APP))
-        assert session.run(VectorAdd(**APP)).verified
+        """Aborted sessions on transient plans only (the cache keeps
+        nothing) leave nothing behind that breaks the next clean
+        session."""
+        vpim, injector, session = arm_stack(chaos_vpim)
+        with mock.patch("repro.virt.frontend.plan_key", lambda *args: None):
+            for _ in range(3):
+                schedule(injector, 0.0, FaultKind.DPU_KERNEL_FAULT, "rank:*")
+                with pytest.raises(DpuFaultError):
+                    session.run(VectorAdd(**APP))
+            assert session.run(VectorAdd(**APP)).verified
+        assert session.vm.devices[0].frontend.plans.misses == 0
 
     def test_unverified_report_is_retried_as_corruption(self, armed):
         """Silent bit flips surface only through verify; the rerun path

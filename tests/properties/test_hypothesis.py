@@ -3,11 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import PAGE_SIZE
 from repro.hardware.interleave import deinterleave, interleave
 from repro.hardware.memory import MemoryRegion
 from repro.hardware.timing import DEFAULT_COST_MODEL
-from repro.virt.guest_memory import GuestMemory
 from repro.virt.serialization import RequestHeader, RequestKind
 
 u8_arrays = st.lists(st.integers(0, 255), min_size=1, max_size=512).map(
@@ -98,19 +96,6 @@ def test_header_roundtrip_property(kind, offset, count, symbol, program):
     header = RequestHeader(kind=kind, offset=offset, count=count,
                            symbol=symbol, program_name=program)
     assert RequestHeader.unpack(header.pack()) == header
-
-
-# -- guest memory runs ---------------------------------------------------------------
-
-@given(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=64))
-@settings(max_examples=60, deadline=None)
-def test_contiguous_runs_cover_exactly(page_indices):
-    gpas = np.array(sorted(set(page_indices)), dtype=np.uint64) * PAGE_SIZE
-    runs = GuestMemory.contiguous_runs(gpas)
-    reconstructed = []
-    for start, nr in runs:
-        reconstructed.extend(start + i * PAGE_SIZE for i in range(nr))
-    assert reconstructed == gpas.tolist()
 
 
 # -- end-to-end kernel invariants -------------------------------------------------------

@@ -16,11 +16,7 @@ from repro.sdk.transfer import uniform_read, uniform_write
 from repro.virt.backend import VUpmemBackend
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.plans import compile_plan, plan_key
-from repro.virt.serialization import (
-    RequestHeader,
-    RequestKind,
-    serialize_matrix,
-)
+from repro.virt.serialization import RequestHeader, RequestKind
 from repro.virt.virtio import write_buffer
 
 
@@ -33,8 +29,15 @@ def env():
     return machine, driver, memory, backend
 
 
-def chain_for(header, matrix, memory):
-    return serialize_matrix(header, matrix, memory).chain
+def plan_for(header, matrix, memory):
+    """A hand-built transient plan: how every data request the cache
+    does not keep reaches the backend."""
+    return compile_plan(None, header, matrix, memory, None, None,
+                        batched=False)
+
+
+def send(backend, plan):
+    return backend.process(plan.sreq.chain, plan=plan)
 
 
 def test_unlinked_requests_rejected(env):
@@ -70,7 +73,7 @@ def test_write_lands_on_rank_zero_copy(env):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 128, [data, data])
     header = RequestHeader(kind=RequestKind.WRITE_RANK, offset=128,
                            symbol=MRAM_HEAP_SYMBOL)
-    result = backend.process(chain_for(header, matrix, memory))
+    result = send(backend, plan_for(header, matrix, memory))
     assert result.duration > 0
     assert "T-data" in result.steps and "Deser" in result.steps
     for d in (0, 1):
@@ -85,34 +88,100 @@ def test_read_deposits_into_guest_pages(env):
     matrix = uniform_read(MRAM_HEAP_SYMBOL, 64, 500, nr_dpus=2)
     header = RequestHeader(kind=RequestKind.READ_RANK, offset=64,
                            symbol=MRAM_HEAP_SYMBOL)
-    sreq = serialize_matrix(header, matrix, memory)
-    backend.process(sreq.chain)
-    dpu1 = [d for d in sreq.data_descriptors if d[0] == 1][0]
+    plan = plan_for(header, matrix, memory)
+    send(backend, plan)
+    dpu1 = [d for d in plan.sreq.data_descriptors if d[0] == 1][0]
     assert np.array_equal(memory.read(dpu1[2], 500), payload)
 
 
 def test_read_bounds_checks_every_page(env):
     """A request is bounds-checked page by page, not by its run ends: a
-    chain matching an earlier good read in first GPA, last GPA and page
-    count, but with a middle page outside guest memory, is refused
-    before the rank is touched."""
+    transient plan matching an earlier good read in first GPA, last GPA
+    and page count, but with a middle page outside guest memory, is
+    refused before the rank is touched."""
     machine, _, memory, backend = env
     backend.link_rank(0)
     matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, 3 * PAGE_SIZE, nr_dpus=1)
     header = RequestHeader(kind=RequestKind.READ_RANK,
                            symbol=MRAM_HEAP_SYMBOL)
-    chain = chain_for(header, matrix, memory)
-    backend.process(chain)
-    pages = memory.read(chain[3].gpa, chain[3].length).view(np.uint64).copy()
+    plan = plan_for(header, matrix, memory)
+    send(backend, plan)
+    pages = plan.entries[0].page_gpas
     assert pages.size == 3
     pages[1] = memory.size + PAGE_SIZE
-    bad_chain = chain[:3] + [write_buffer(memory, pages,
-                                          device_writable=True)]
+    memory.write(plan.sreq.chain[3].gpa, pages)   # the wire says so too
     rank = machine.rank(0)
     reads = rank.read_ops
     with pytest.raises(TranslationError):
-        backend.process(bad_chain)
+        send(backend, plan)
     assert rank.read_ops == reads
+
+
+def test_data_chain_without_plan_rejected(env):
+    """The backend takes a data request only from its compiled plan: a
+    well-formed WRITE_RANK/READ_RANK chain arriving alone is refused
+    before the rank is touched."""
+    machine, _, memory, backend = env
+    backend.link_rank(0)
+    rank = machine.rank(0)
+    write = plan_for(
+        RequestHeader(kind=RequestKind.WRITE_RANK, symbol=MRAM_HEAP_SYMBOL),
+        uniform_write(MRAM_HEAP_SYMBOL, 0, [np.ones(64, np.uint8)]), memory)
+    read = plan_for(
+        RequestHeader(kind=RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL),
+        uniform_read(MRAM_HEAP_SYMBOL, 0, 64, nr_dpus=1), memory)
+    for plan in (write, read):
+        with pytest.raises(SerializationError, match="without a compiled plan"):
+            backend.process(plan.sreq.chain)
+    assert rank.write_ops == rank.read_ops == 0
+    assert not machine.rank(0).dpu(0).mram.read(0, 64).any()
+
+
+def test_transient_plan_is_checked_every_time_and_never_pinned(env,
+                                                               monkeypatch):
+    """A transient plan is used once: it never records a validated
+    translation generation and never resolves a pinned MRAM write."""
+    _, _, memory, backend = env
+    backend.link_rank(0)
+    data = np.ones(3000, dtype=np.uint8)
+    header = RequestHeader(kind=RequestKind.WRITE_RANK,
+                           symbol=MRAM_HEAP_SYMBOL)
+    plan = plan_for(header, uniform_write(MRAM_HEAP_SYMBOL, 0, [data, data]),
+                    memory)
+    walked = []
+    translate = memory.translate_pages
+    monkeypatch.setattr(memory, "translate_pages",
+                        lambda gpas: walked.append(gpas) or translate(gpas))
+    send(backend, plan)
+    send(backend, plan)
+    assert len(walked) == 4
+    assert plan.translation_generation == -1
+    assert plan.pinned_write is None
+
+
+def test_multi_extent_entry_round_trips(env):
+    """An entry larger than one backing extent pins as per-extent chunks:
+    its write applies a joined copy, its read deposits over the chunks."""
+    machine, _, memory, backend = env
+    backend.link_rank(0)
+    size = memory.region.extent_bytes + 5 * PAGE_SIZE + 3
+    data = (np.arange(size) % 251).astype(np.uint8)
+    write = plan_for(
+        RequestHeader(kind=RequestKind.WRITE_RANK, offset=8,
+                      symbol=MRAM_HEAP_SYMBOL),
+        uniform_write(MRAM_HEAP_SYMBOL, 8, [data]), memory)
+    assert len(write.payload_views[0]) == 2
+    send(backend, write)
+    assert np.array_equal(machine.rank(0).dpu(0).mram.read(8, size), data)
+
+    read = plan_for(
+        RequestHeader(kind=RequestKind.READ_RANK, offset=8,
+                      symbol=MRAM_HEAP_SYMBOL),
+        uniform_read(MRAM_HEAP_SYMBOL, 8, size, nr_dpus=1), memory)
+    assert read.read_views is None
+    send(backend, read)
+    (_, _, gpa), = read.sreq.data_descriptors
+    assert np.array_equal(memory.read(gpa, size), data)
 
 
 def test_plan_replay_revalidates_once_per_generation(env, monkeypatch):
@@ -159,14 +228,14 @@ def test_rust_path_slower_on_writes(env):
     c_backend = VUpmemBackend("c", driver, memory, DEFAULT_COST_MODEL,
                               rust_data_path=False)
     c_backend.link_rank(0)
-    c_time = c_backend.process(chain_for(header, matrix, memory)).steps["T-data"]
+    c_time = send(c_backend, plan_for(header, matrix, memory)).steps["T-data"]
     c_backend.unlink()
 
     rust_backend = VUpmemBackend("rust", driver, memory, DEFAULT_COST_MODEL,
                                  rust_data_path=True)
     rust_backend.link_rank(0)
-    rust_time = rust_backend.process(
-        chain_for(header, matrix, memory)).steps["T-data"]
+    rust_time = send(rust_backend,
+                     plan_for(header, matrix, memory)).steps["T-data"]
     assert rust_time > c_time * 3.43  # at least the paper's 343%
 
 
@@ -180,13 +249,13 @@ def test_translation_threads_speed_deser(env):
     fast = VUpmemBackend("f", driver, memory, DEFAULT_COST_MODEL,
                          translation_threads=8)
     fast.link_rank(0)
-    fast_t = fast.process(chain_for(header, matrix, memory)).steps["Deser"]
+    fast_t = send(fast, plan_for(header, matrix, memory)).steps["Deser"]
     fast.unlink()
 
     slow = VUpmemBackend("s", driver, memory, DEFAULT_COST_MODEL,
                          translation_threads=1)
     slow.link_rank(0)
-    slow_t = slow.process(chain_for(header, matrix, memory)).steps["Deser"]
+    slow_t = send(slow, plan_for(header, matrix, memory)).steps["Deser"]
     assert slow_t > fast_t
 
 

@@ -1,4 +1,4 @@
-"""Guest memory: allocation, translation, contiguous runs."""
+"""Guest memory: allocation, per-extent pinning, translation."""
 
 import numpy as np
 import pytest
@@ -69,17 +69,26 @@ def test_vectorized_translation_bounds(mem):
         mem.translate_pages(np.array([mem.size], dtype=np.uint64))
 
 
-def test_contiguous_runs_single():
-    gpas = np.arange(4, dtype=np.uint64) * PAGE_SIZE + 4096
-    runs = GuestMemory.contiguous_runs(gpas)
-    assert runs == [(4096, 4)]
+def test_rolling_runs_pack_tightly_and_pin_per_extent(mem):
+    """The bump allocator packs runs back to back (a transient request
+    costs only its own pages); a run crossing an extent boundary pins as
+    per-extent chunks that cover it exactly."""
+    ext = mem.region.extent_bytes
+    nr_pages = 1000
+    gpa = mem.alloc_pages(nr_pages)
+    while gpa // ext == (gpa + nr_pages * PAGE_SIZE - 1) // ext:
+        nxt = mem.alloc_pages(nr_pages)
+        assert nxt == gpa + nr_pages * PAGE_SIZE
+        gpa = nxt
+    chunks = mem.pin_chunks(gpa, nr_pages * PAGE_SIZE)
+    assert len(chunks) == 2
+    assert chunks[0].size == ext - gpa % ext
+    assert sum(c.size for c in chunks) == nr_pages * PAGE_SIZE
+    payload = (np.arange(nr_pages * PAGE_SIZE) % 251).astype(np.uint8)
+    mem.write(gpa, payload)
+    assert np.array_equal(np.concatenate(chunks), payload)
 
 
-def test_contiguous_runs_split():
-    gpas = np.array([0, PAGE_SIZE, 10 * PAGE_SIZE], dtype=np.uint64)
-    runs = GuestMemory.contiguous_runs(gpas)
-    assert runs == [(0, 2), (10 * PAGE_SIZE, 1)]
-
-
-def test_contiguous_runs_empty():
-    assert GuestMemory.contiguous_runs(np.empty(0, dtype=np.uint64)) == []
+def test_pin_chunks_of_nothing_is_one_empty_view(mem):
+    (view,) = mem.pin_chunks(mem.alloc_pages(1), 0)
+    assert view.size == 0

@@ -1,13 +1,19 @@
-"""Property-based equivalence of the shape-specialized plan cache.
+"""Property-based oracle for the one wire path: compiled plans.
 
-The contract of ``repro.virt.plans`` (``docs/performance.md``) is that a
-compiled plan is *indistinguishable on the wire* from the naive
-serializer: same buffer lengths, same writable flags, same metadata and
-payload bytes — only the GPAs differ (reservation arena vs the rolling
-bump allocator).  These tests drive random shapes through both paths and
-compare the chains buffer-for-buffer, then exercise the invalidation
-rules (eviction, migration, failover) end to end.
+Every data request reaches the backend as a compiled plan, cached or
+transient (``docs/performance.md``), and the reference decoder
+``deserialize_request`` is the oracle: every compiled chain — cached
+and transient, default and cache format, batched and not — must decode
+to the plan's header, entries (dpu, size, page GPAs, digest) and skips,
+and each entry's page run must be contiguous and hold the payload.  The
+two lifetimes must also be indistinguishable on the wire: same buffer
+lengths, writable flags, metadata and payload bytes — only the GPAs
+differ (reservation arena vs the rolling bump allocator).  In the test
+names, "naive" means a transient plan.  The last classes exercise the
+invalidation rules (eviction, migration, failover) end to end.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,14 +25,14 @@ from repro.sdk.dpu_set import DpuSet
 from repro.sdk.transfer import XferKind, uniform_read, uniform_write
 from repro.virt.guest_memory import GuestMemory
 from repro.virt.migration import migrate_device
-from repro.virt.opts import OptimizationConfig
 from repro.virt.plans import PlanCache, compile_plan, plan_key
 from repro.virt.serialization import (
     RequestHeader,
     RequestKind,
     SkipExtent,
-    serialize_matrix,
+    deserialize_request,
 )
+
 
 
 # -- strategies --------------------------------------------------------------
@@ -61,8 +67,8 @@ def _digests_for(sizes, seed, cache_format):
 def _wire(memory, sreq, kind):
     """Everything observable about a chain except the GPA values: buffer
     (length, writable, bytes) for header/metas, (length, writable) for
-    the page-GPA buffers, and the gathered payload each entry's pages
-    hold (writes only — read pages are destinations)."""
+    the page-GPA buffers, and the payload each entry's pages hold
+    (writes only — read pages are destinations)."""
     chain = sreq.chain
     metas = [(d.length, d.device_writable, memory.read(d.gpa, d.length).tobytes())
              for d in [chain[0], chain[1]] + chain[2::2]]
@@ -75,22 +81,50 @@ def _wire(memory, sreq, kind):
     return metas, page_bufs, payloads, sreq.total_pages
 
 
-def _compile(memory, header, matrix, digests, skips=None):
-    key = plan_key(header, matrix, digests, skips, batched=False)
+def _assert_decodes_to_plan(memory, plan, matrix):
+    """The oracle: the chain decodes to the plan, and every entry's
+    page run is contiguous and holds the payload (writes)."""
+    header, entries, skips = deserialize_request(plan.sreq.chain, memory)
+    assert header == plan.header
+    assert skips == plan.skips
+    assert [(e.dpu_index, e.size, e.page_gpas.tolist(), e.digest)
+            for e in entries] == \
+        [(e.dpu_index, e.size, e.page_gpas.tolist(), e.digest)
+         for e in plan.entries]
+    for entry, live in zip(entries, matrix.entries):
+        gpas = entry.page_gpas
+        assert gpas.size == max(1, -(-entry.size // PAGE_SIZE))
+        assert (np.diff(gpas) == PAGE_SIZE).all(), "page run not contiguous"
+        assert int(gpas[0]) % PAGE_SIZE == 0
+        if matrix.kind is XferKind.TO_DPU:
+            assert np.array_equal(memory.read(int(gpas[0]), entry.size),
+                                  live.data)
+
+
+def _compile(memory, header, matrix, digests, skips=None, batched=False):
+    key = plan_key(header, matrix, digests, skips, batched=batched)
     assert key is not None, "data request must be plannable"
     return compile_plan(key, header, matrix, memory, digests, skips,
-                        batched=False)
+                        batched=batched)
+
+
+def _transient(memory, header, matrix, digests, skips=None, batched=False):
+    plan = compile_plan(None, header, matrix, memory, digests, skips,
+                        batched=batched)
+    assert plan.transient and plan.reservations == []
+    return plan
 
 
 # -- wire-level equivalence --------------------------------------------------
 
 class TestWireEquivalence:
     @given(sizes=shapes, offset=offsets, seed=seeds,
-           cache_format=st.booleans())
+           cache_format=st.booleans(), batched=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_planned_write_matches_naive(self, sizes, offset, seed,
-                                         cache_format):
-        """compile → chain equals serialize_matrix byte-for-byte."""
+                                         cache_format, batched):
+        """Cached and transient compiles both decode to their plan and
+        emit the same chain byte-for-byte."""
         memory = GuestMemory(64 << 20)
         matrix = uniform_write(MRAM_HEAP_SYMBOL, offset,
                                _payloads(sizes, seed))
@@ -98,10 +132,13 @@ class TestWireEquivalence:
                                symbol=MRAM_HEAP_SYMBOL)
         digests = _digests_for(sizes, seed, cache_format)
 
-        naive = serialize_matrix(header, matrix, memory, digests, None)
-        plan = _compile(memory, header, matrix, digests)
+        transient = _transient(memory, header, matrix, digests, batched=batched)
+        _assert_decodes_to_plan(memory, transient, matrix)
+        plan = _compile(memory, header, matrix, digests, batched=batched)
+        _assert_decodes_to_plan(memory, plan, matrix)
+        assert (plan.matrix is None) == batched
         assert (_wire(memory, plan.sreq, XferKind.TO_DPU)
-                == _wire(memory, naive, XferKind.TO_DPU))
+                == _wire(memory, transient.sreq, XferKind.TO_DPU))
         plan.release(memory)
 
     @given(sizes=shapes, offset=offsets, seed=seeds,
@@ -109,8 +146,8 @@ class TestWireEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_replay_matches_naive_with_fresh_data(self, sizes, offset, seed,
                                                   cache_format):
-        """Replays refresh payloads + digests; the wire stays identical
-        to what a from-scratch serialization of the new data emits."""
+        """Replays refresh payloads + digests; the chain still decodes to
+        the plan and equals a transient compile of the new data."""
         memory = GuestMemory(64 << 20)
         header = RequestHeader(RequestKind.WRITE_RANK, offset=offset,
                                symbol=MRAM_HEAP_SYMBOL)
@@ -123,10 +160,12 @@ class TestWireEquivalence:
             fresh = uniform_write(MRAM_HEAP_SYMBOL, offset,
                                   _payloads(sizes, seed + rep))
             digests = _digests_for(sizes, seed + rep, cache_format)
-            naive = serialize_matrix(header, fresh, memory, digests, None)
+            transient = _transient(memory, header, fresh, digests)
             replayed = plan.replay(fresh, digests, None)
+            assert replayed is plan.sreq
+            _assert_decodes_to_plan(memory, plan, fresh)
             assert (_wire(memory, replayed, XferKind.TO_DPU)
-                    == _wire(memory, naive, XferKind.TO_DPU))
+                    == _wire(memory, transient.sreq, XferKind.TO_DPU))
         assert plan.replays == 3
         plan.release(memory)
 
@@ -140,19 +179,23 @@ class TestWireEquivalence:
         header = RequestHeader(RequestKind.READ_RANK, offset=offset,
                                symbol=MRAM_HEAP_SYMBOL)
 
-        naive = serialize_matrix(header, matrix, memory, None, None)
+        transient = _transient(memory, header, matrix, None)
+        _assert_decodes_to_plan(memory, transient, matrix)
         plan = _compile(memory, header, matrix, None)
+        _assert_decodes_to_plan(memory, plan, matrix)
         assert (_wire(memory, plan.sreq, XferKind.FROM_DPU)
-                == _wire(memory, naive, XferKind.FROM_DPU))
-        assert len(plan.read_views) == len(matrix.entries)
-        assert all(v.size == size for v in plan.read_views)
+                == _wire(memory, transient.sreq, XferKind.FROM_DPU))
+        for compiled in (transient, plan):
+            assert len(compiled.read_views) == len(matrix.entries)
+            assert all(v.size == size for v in compiled.read_views)
         plan.release(memory)
 
     @given(sizes=shapes, offset=offsets, seed=seeds)
     @settings(max_examples=30, deadline=None)
     def test_replay_repatches_skip_digests(self, sizes, offset, seed):
         """Cache-format replays swap in fresh SKIP extents: the replayed
-        chain must equal a naive serialization carrying the same skips."""
+        chain decodes to them and equals a transient compile carrying
+        the same skips."""
         memory = GuestMemory(64 << 20)
         header = RequestHeader(RequestKind.WRITE_RANK, offset=offset,
                                symbol=MRAM_HEAP_SYMBOL)
@@ -175,11 +218,14 @@ class TestWireEquivalence:
             fresh = uniform_write(MRAM_HEAP_SYMBOL, offset,
                                   _payloads(sizes, seed + rep))
             digests = _digests_for(sizes, seed + rep, True)
-            naive = serialize_matrix(header, fresh, memory, digests,
-                                     skips_at(rep))
+            transient = _transient(memory, header, fresh, digests,
+                               skips=skips_at(rep))
+            _assert_decodes_to_plan(memory, transient, fresh)
             replayed = plan.replay(fresh, digests, skips_at(rep))
+            _assert_decodes_to_plan(memory, plan, fresh)
+            assert plan.skips == skips_at(rep)
             assert (_wire(memory, replayed, XferKind.TO_DPU)
-                    == _wire(memory, naive, XferKind.TO_DPU))
+                    == _wire(memory, transient.sreq, XferKind.TO_DPU))
         plan.release(memory)
 
 
@@ -190,7 +236,8 @@ class TestPlanCacheEviction:
     @settings(max_examples=15, deadline=None)
     def test_eviction_mid_sequence_stays_correct(self, seed):
         """Cycling more shapes than the LRU holds keeps evicting, and
-        every replayed-or-recompiled chain still matches the naive one."""
+        every replayed-or-recompiled chain still decodes to its plan and
+        matches a transient compile."""
         memory = GuestMemory(64 << 20)
         cache = PlanCache(memory, capacity=2)
         sizes_by_shape = [[64], [128, 32], [PAGE_SIZE + 1]]
@@ -212,9 +259,10 @@ class TestPlanCacheEviction:
                     sreq = plan.sreq
                 else:
                     sreq = plan.replay(matrix, None, None)
-                naive = serialize_matrix(header, matrix, memory, None, None)
+                _assert_decodes_to_plan(memory, plan, matrix)
+                transient = _transient(memory, header, matrix, None)
                 assert (_wire(memory, sreq, XferKind.TO_DPU)
-                        == _wire(memory, naive, XferKind.TO_DPU))
+                        == _wire(memory, transient.sreq, XferKind.TO_DPU))
 
         # 3 shapes through a 2-slot LRU in cyclic order: every visit
         # after the warm-up evicts, and nothing ever replays.
@@ -224,45 +272,48 @@ class TestPlanCacheEviction:
         assert cache.nr_plans == 0
 
 
-# -- end-to-end: planned VM == unplanned VM ----------------------------------
+# -- end-to-end: cached plans == transient plans only ------------------------
 
-def _session(nr_ranks=1, **opt_kwargs):
+def _session(nr_ranks=1):
     vpim = VPim(small_machine(nr_ranks=nr_ranks, dpus_per_rank=4))
-    session = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30,
-                              opts=OptimizationConfig(**opt_kwargs))
+    session = vpim.vm_session(nr_vupmem=1, mem_bytes=1 << 30)
     return vpim, session
+
+
+def _run_reps(vpim, session, sizes, seed):
+    with DpuSet(session.transport, 4) as dpus:
+        t0 = vpim.machine.clock.now
+        reads = []
+        for rep in range(3):
+            bufs = _payloads(sizes, seed + rep)
+            for dpu, buf in enumerate(bufs):
+                dpus.copy_to_mram(dpu, 0, buf)
+            reads.append([
+                dpus.copy_from_mram(dpu, 0, len(buf)).tobytes()
+                for dpu, buf in enumerate(bufs)])
+            for dpu, buf in enumerate(bufs):
+                assert reads[-1][dpu] == buf.tobytes()
+    return reads, float(vpim.machine.clock.now - t0).hex()
 
 
 class TestEndToEndEquivalence:
     @given(sizes=st.lists(entry_sizes, min_size=4, max_size=4), seed=seeds)
     @settings(max_examples=8, deadline=None)
     def test_plans_do_not_change_data_or_modeled_time(self, sizes, seed):
-        """Same workload through plans-on and plans-off VMs: identical
+        """Same workload through a VM whose plan cache keeps its plans
+        and one that compiles a transient plan per request: identical
         read-backs and identical modeled clock advance."""
-        outcomes = {}
-        for plans in (True, False):
-            vpim, session = _session(plans=plans)
-            with DpuSet(session.transport, 4) as dpus:
-                t0 = vpim.machine.clock.now
-                reads = []
-                for rep in range(3):
-                    bufs = _payloads(sizes, seed + rep)
-                    for dpu, buf in enumerate(bufs):
-                        dpus.copy_to_mram(dpu, 0, buf)
-                    reads.append([
-                        dpus.copy_from_mram(dpu, 0, len(buf)).tobytes()
-                        for dpu, buf in enumerate(bufs)])
-                    for dpu, buf in enumerate(bufs):
-                        assert reads[-1][dpu] == buf.tobytes()
-                frontend = session.vm.devices[0].frontend
-                outcomes[plans] = (reads, float(vpim.machine.clock.now - t0).hex())
-            if plans:
-                assert frontend.plans is not None
-                assert frontend.plans.hits > 0, \
-                    "repeated shapes must replay a compiled plan"
-            else:
-                assert frontend.plans is None
-        assert outcomes[True] == outcomes[False]
+        vpim, session = _session()
+        cached = _run_reps(vpim, session, sizes, seed)
+        plans = session.vm.devices[0].frontend.plans
+        assert plans.hits > 0, "repeated shapes must replay a compiled plan"
+
+        with mock.patch("repro.virt.frontend.plan_key", lambda *args: None):
+            vpim, session = _session()
+            transient = _run_reps(vpim, session, sizes, seed)
+        plans = session.vm.devices[0].frontend.plans
+        assert plans.hits == plans.misses == plans.nr_plans == 0
+        assert cached == transient
 
 
 # -- invalidation: migration and failover ------------------------------------
@@ -280,7 +331,7 @@ class TestPlanInvalidation:
         return dpus
 
     def test_migration_drops_plans_and_recompiles(self):
-        vpim, session = _session(nr_ranks=2, plans=True)
+        vpim, session = _session(nr_ranks=2)
         dpus = self._warm(session)
         device = session.vm.devices[0]
         plans = device.frontend.plans
@@ -306,7 +357,7 @@ class TestPlanInvalidation:
         validity is re-checked against guest generation and the
         backend's translation generation on every hit, which is what
         makes cross-run replay possible."""
-        _, session = _session(plans=True)
+        _, session = _session()
         dpus = self._warm(session)
         frontend = session.vm.devices[0].frontend
         assert frontend.plans.nr_plans > 0
@@ -326,7 +377,7 @@ class TestPlanInvalidation:
     def test_failover_recovery_path_replays_correctly(self):
         """After a failover-style invalidation the next transfer
         recompiles and the data plane stays correct."""
-        _, session = _session(plans=True)
+        _, session = _session()
         dpus = self._warm(session)
         frontend = session.vm.devices[0].frontend
         frontend._invalidate_digests("failover")

@@ -1,4 +1,5 @@
-"""Wire format: header packing, matrix (de)serialization, gather/scatter."""
+"""Wire format: header packing, compiled chains and their decoding, the
+payload pages a plan writes and the read results it deposits."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,11 @@ from repro.config import MRAM_HEAP_SYMBOL, PAGE_SIZE
 from repro.errors import SerializationError
 from repro.sdk.transfer import uniform_read, uniform_write
 from repro.virt.guest_memory import GuestMemory
+from repro.virt.plans import compile_plan
 from repro.virt.serialization import (
     RequestHeader,
     RequestKind,
     deserialize_request,
-    gather_entry_data,
-    scatter_entry_data,
-    serialize_matrix,
     xfer_kind_of,
 )
 from repro.sdk.transfer import XferKind
@@ -22,6 +21,17 @@ from repro.sdk.transfer import XferKind
 @pytest.fixture
 def mem() -> GuestMemory:
     return GuestMemory(128 << 20)
+
+
+def serialize(header, matrix, mem, digests=None, skips=None):
+    """A transient compile: the chain every unkept shape is sent with."""
+    return compile_plan(None, header, matrix, mem, digests, skips,
+                        batched=False)
+
+
+def payload_of(entry, mem):
+    """An entry's payload, read from its (contiguous) page run."""
+    return mem.read(int(entry.page_gpas[0]), entry.size)
 
 
 def test_header_pack_unpack_roundtrip():
@@ -56,7 +66,7 @@ def test_serialize_write_matrix_layout(mem):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 64, bufs)
     header = RequestHeader(kind=RequestKind.WRITE_RANK, offset=64,
                            symbol=MRAM_HEAP_SYMBOL)
-    sreq = serialize_matrix(header, matrix, mem)
+    sreq = serialize(header, matrix, mem).sreq
     # Fig. 7: request info + matrix meta + per-DPU (meta, pages).
     assert len(sreq.chain) == 2 + 2 * 2
     assert sreq.total_pages == 1 + 2
@@ -68,14 +78,14 @@ def test_serialize_deserialize_roundtrip(mem):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, bufs)
     header = RequestHeader(kind=RequestKind.WRITE_RANK,
                            symbol=MRAM_HEAP_SYMBOL)
-    sreq = serialize_matrix(header, matrix, mem)
+    sreq = serialize(header, matrix, mem).sreq
     got_header, entries, skips = deserialize_request(sreq.chain, mem)
     assert got_header.kind is RequestKind.WRITE_RANK
     assert skips == []
     assert len(entries) == 3
     for i, entry in enumerate(entries):
         assert entry.size == 3000
-        data = gather_entry_data(entry, mem)
+        data = payload_of(entry, mem)
         assert np.array_equal(data, bufs[i])
 
 
@@ -83,12 +93,13 @@ def test_read_matrix_allocates_destination_pages(mem):
     matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, 10_000, nr_dpus=2)
     header = RequestHeader(kind=RequestKind.READ_RANK,
                            symbol=MRAM_HEAP_SYMBOL)
-    sreq = serialize_matrix(header, matrix, mem)
+    plan = serialize(header, matrix, mem)
+    sreq = plan.sreq
     _, entries, _ = deserialize_request(sreq.chain, mem)
     results = (np.arange(10_000) % 251).astype(np.uint8)
+    plan.deposit([results] * len(entries))
     for entry in entries:
-        scatter_entry_data(entry, results, mem)
-        assert np.array_equal(gather_entry_data(entry, mem), results)
+        assert np.array_equal(payload_of(entry, mem), results)
     # And the frontend can find them through the data descriptors.
     for (dpu, size, gpa) in sreq.data_descriptors:
         assert np.array_equal(mem.read(gpa, size), results)
@@ -96,19 +107,18 @@ def test_read_matrix_allocates_destination_pages(mem):
 
 def test_scatter_wrong_size_rejected(mem):
     matrix = uniform_read(MRAM_HEAP_SYMBOL, 0, 100, nr_dpus=1)
-    sreq = serialize_matrix(
+    plan = serialize(
         RequestHeader(kind=RequestKind.READ_RANK, symbol=MRAM_HEAP_SYMBOL),
         matrix, mem)
-    _, entries, _ = deserialize_request(sreq.chain, mem)
     with pytest.raises(SerializationError):
-        scatter_entry_data(entries[0], np.zeros(99, dtype=np.uint8), mem)
+        plan.deposit([np.zeros(99, dtype=np.uint8)])
 
 
 def test_deserialize_truncated_chain_rejected(mem):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, [np.zeros(10, np.uint8)])
-    sreq = serialize_matrix(
+    sreq = serialize(
         RequestHeader(kind=RequestKind.WRITE_RANK, symbol=MRAM_HEAP_SYMBOL),
-        matrix, mem)
+        matrix, mem).sreq
     with pytest.raises(SerializationError):
         deserialize_request(sreq.chain[:-1], mem)
 
@@ -139,9 +149,9 @@ def test_xfer_kind_mapping():
 def test_page_gpas_are_page_aligned(mem):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 0,
                            [np.zeros(PAGE_SIZE * 3, np.uint8)])
-    sreq = serialize_matrix(
+    sreq = serialize(
         RequestHeader(kind=RequestKind.WRITE_RANK, symbol=MRAM_HEAP_SYMBOL),
-        matrix, mem)
+        matrix, mem).sreq
     _, entries, _ = deserialize_request(sreq.chain, mem)
     assert (entries[0].page_gpas % PAGE_SIZE == 0).all()
     assert entries[0].page_gpas.size == 3
@@ -159,12 +169,12 @@ def test_cache_format_roundtrips_digests_and_skips(mem):
     digests = {0: 0x1111, 1: 0xFFFFFFFFFFFFFFFF}
     skips = [SkipExtent(dpu_index=2, size=4096, digest=0xABCDEF),
              SkipExtent(dpu_index=3, size=17, digest=0)]
-    sreq = serialize_matrix(header, matrix, mem, digests=digests, skips=skips)
+    sreq = serialize(header, matrix, mem, digests=digests, skips=skips).sreq
     _, entries, got_skips = deserialize_request(sreq.chain, mem)
     assert got_skips == skips
     assert [e.digest for e in entries] == [0x1111, 0xFFFFFFFFFFFFFFFF]
     for i, entry in enumerate(entries):
-        assert np.array_equal(gather_entry_data(entry, mem), bufs[i])
+        assert np.array_equal(payload_of(entry, mem), bufs[i])
 
 
 def test_cache_format_without_skips(mem):
@@ -173,7 +183,7 @@ def test_cache_format_without_skips(mem):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, [np.zeros(100, np.uint8)])
     header = RequestHeader(kind=RequestKind.WRITE_RANK,
                            symbol=MRAM_HEAP_SYMBOL)
-    sreq = serialize_matrix(header, matrix, mem, digests={0: 42})
+    sreq = serialize(header, matrix, mem, digests={0: 42}).sreq
     meta = mem.read(sreq.chain[1].gpa, sreq.chain[1].length).view(np.uint64)
     assert meta.size == 4 and int(meta[3]) == 0
     _, entries, skips = deserialize_request(sreq.chain, mem)
@@ -187,7 +197,7 @@ def test_default_format_is_unchanged_by_the_cache_code(mem):
     matrix = uniform_write(MRAM_HEAP_SYMBOL, 0, [np.zeros(100, np.uint8)])
     header = RequestHeader(kind=RequestKind.WRITE_RANK,
                            symbol=MRAM_HEAP_SYMBOL)
-    sreq = serialize_matrix(header, matrix, mem)
+    sreq = serialize(header, matrix, mem).sreq
     meta = mem.read(sreq.chain[1].gpa, sreq.chain[1].length).view(np.uint64)
     assert meta.size == 3
     emeta = mem.read(sreq.chain[2].gpa, sreq.chain[2].length).view(np.uint64)
